@@ -44,7 +44,6 @@ from .equilibria import (
     Equilibrium,
     EquilibriumKind,
     EquilibriumLine,
-    eigenvalues_of,
     find_equilibria,
     interior_point,
     jacobian_at,
@@ -124,7 +123,7 @@ __all__ = [
     "sign_case", "sign_census",
     # equilibria
     "EigenPair", "Equilibrium", "EquilibriumKind", "EquilibriumLine",
-    "eigenvalues_of", "find_equilibria", "interior_point", "jacobian_at",
+    "find_equilibria", "interior_point", "jacobian_at",
     # classification
     "QUADRANT_REPRESENTATIVE", "Basis", "ClassificationReport", "ConsistencyVerdict",
     "InfeasibleSignCase", "Scope", "StabilityClass", "Verdict", "classify",

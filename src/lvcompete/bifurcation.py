@@ -26,6 +26,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from .exact import Sign, rational_sqrt, sign_of
 from .model import SignCase, SystemParams, compute_determinants, sign_case
 from .equilibria import Equilibrium, EquilibriumKind, find_equilibria
+from .classifier import linearization_verdict
 
 __all__ = [
     "ParameterPath",
@@ -347,29 +348,17 @@ def _sign_at_root(poly: QuadraticPoly, root: PathRoot) -> Sign:
     raise ArithmeticError("could not separate two distinct irrational roots")
 
 
-def _full_plane_class(eq: Equilibrium) -> str:
-    signs = eq.eigenvalues.realpart_signs
-    if Sign.ZERO in signs:
-        return "degenerate"
-    if signs == (Sign.NEG, Sign.NEG):
-        return "stable node"
-    if signs == (Sign.POS, Sign.POS):
-        return "unstable node"
-    return "saddle"
-
-
 def _side_classes(
     params: SystemParams, axis_kind: EquilibriumKind
 ) -> Tuple[Optional[str], Optional[str]]:
-    axis_class = interior_class = None
+    """Full-plane classes of the axis and interior equilibria, as the
+    verdict strings a SwapSummary compares ("degenerate" if non-hyperbolic)."""
+    classes: Dict[EquilibriumKind, str] = {}
     for eq in find_equilibria(params, include_off_quadrant=True):
-        if not isinstance(eq, Equilibrium):
-            continue
-        if eq.kind is axis_kind:
-            axis_class = _full_plane_class(eq)
-        elif eq.kind is EquilibriumKind.INTERIOR:
-            interior_class = _full_plane_class(eq)
-    return axis_class, interior_class
+        if isinstance(eq, Equilibrium) and eq.kind in (axis_kind, EquilibriumKind.INTERIOR):
+            verdict = linearization_verdict(eq)
+            classes[eq.kind] = "degenerate" if verdict is None else verdict.value
+    return classes.get(axis_kind), classes.get(EquilibriumKind.INTERIOR)
 
 
 def scan_path(

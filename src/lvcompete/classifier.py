@@ -63,6 +63,11 @@ class Verdict(Enum):
     SEMI_STABLE = "semi-stable"
     NON_ISOLATED = "non-isolated"
 
+    @property
+    def coarse_label(self) -> str:
+        """The U/AS/SS/NI label this verdict carries in the stability table."""
+        return _COARSE_LABEL[self]
+
 
 class Scope(Enum):
     FULL_NEIGHBORHOOD = "full neighborhood"
@@ -137,14 +142,6 @@ QUADRANT_REPRESENTATIVE: Dict[int, int] = {
     1: 1, 2: 2, 3: 2, 4: 4, 5: 4, 6: 2, 7: 4, 8: 8, 9: 9,
 }
 
-_PATTERN_SLOTS = (
-    EquilibriumKind.ORIGIN,
-    EquilibriumKind.AXIS1,
-    EquilibriumKind.AXIS2,
-    EquilibriumKind.INTERIOR,
-    EquilibriumKind.LINE_MEMBER,
-)
-
 ScopedVerdicts = Dict[Scope, StabilityClass]
 
 
@@ -180,9 +177,9 @@ class ClassificationReport:
         """Coarse U/AS/SS/NI labels in the order (origin, axis1, axis2,
         interior, line), with "/" for equilibria absent from the portrait."""
         labels = []
-        for kind in _PATTERN_SLOTS:
+        for kind in EquilibriumKind:
             sc = self.verdict_at(kind, scope)
-            labels.append("/" if sc is None else _COARSE_LABEL[sc.verdict])
+            labels.append("/" if sc is None else sc.verdict.coarse_label)
         return tuple(labels)  # type: ignore[return-value]
 
     def to_json_dict(self) -> dict:
@@ -216,10 +213,12 @@ def _same_both_scopes(verdict: Verdict, basis: Basis) -> ScopedVerdicts:
     )
 
 
-def _hyperbolic_verdict(eq: Equilibrium) -> Verdict:
+def linearization_verdict(eq: Equilibrium) -> Optional[Verdict]:
+    """Node or saddle from the exact eigenvalue real-part signs; None when
+    an eigenvalue has zero real part and linearization decides nothing."""
     s1, s2 = eq.eigenvalues.realpart_signs
     if Sign.ZERO in (s1, s2):
-        raise ValueError("not hyperbolic")
+        return None
     if s1 is Sign.NEG and s2 is Sign.NEG:
         return Verdict.STABLE_NODE
     if s1 is Sign.POS and s2 is Sign.POS:
@@ -274,10 +273,9 @@ def classify(params: SystemParams) -> ClassificationReport:
             assert isinstance(eq, Equilibrium)
             if eq.kind is EquilibriumKind.ORIGIN:
                 continue
-            if eq.eigenvalues.is_hyperbolic:
-                verdicts[eq.kind] = _same_both_scopes(
-                    _hyperbolic_verdict(eq), Basis.LINEARIZATION
-                )
+            verdict = linearization_verdict(eq)
+            if verdict is not None:
+                verdicts[eq.kind] = _same_both_scopes(verdict, Basis.LINEARIZATION)
             else:
                 verdicts[eq.kind] = _nonhyperbolic_axis_verdicts(dets.d12)
 
@@ -296,74 +294,71 @@ def classify(params: SystemParams) -> ClassificationReport:
 
 # --------------------------------------------------------------------------
 # Quadrant-stability criteria expressed directly on the determinant signs.
-# Each predicate is a finite disjunction over sign conditions; together they
-# tile the thirteen realizable triples.
+# Each predicate is a finite disjunction over three named sign clauses and
+# their species-swap images; together they tile the thirteen realizable
+# triples.  None of them looks at an eigenvalue.
 
-def thm_axis1_asymptotically_stable(triple: DeterminantTriple) -> bool:
-    """Axis-1 equilibrium attracts the closed quadrant iff one of four sign
-    patterns holds (the last two are the non-hyperbolic and bistable ones)."""
+def _species_swap(triple: DeterminantTriple) -> DeterminantTriple:
+    """Swapping the species maps (d12, d112, d122) to (d12, -d122, -d112)
+    and trades the axis-1 and axis-2 equilibria."""
+    return DeterminantTriple(d12=triple.d12, d112=-triple.d122, d122=-triple.d112)
+
+
+def _axis1_dominance(triple: DeterminantTriple) -> bool:
+    """Axis-1 equilibrium attracts the closed quadrant and nothing lies in
+    the open quadrant (the two zero-minor clauses are the non-hyperbolic
+    boundary cases)."""
     d12, d112, d122 = triple.d12, triple.d112, triple.d122
     return (
         (d112 < 0 and d122 < 0)
         or (d12 < 0 and d112 < 0 and d122 == 0)
         or (d12 > 0 and d112 == 0 and d122 < 0)
-        or (d12 < 0 and d112 < 0 and d122 > 0)
     )
 
 
-def thm_axis2_asymptotically_stable(triple: DeterminantTriple) -> bool:
-    d12, d112, d122 = triple.d12, triple.d112, triple.d122
-    return (
-        (d112 > 0 and d122 > 0)
-        or (d12 > 0 and d112 > 0 and d122 == 0)
-        or (d12 < 0 and d112 == 0 and d122 > 0)
-        or (d12 < 0 and d112 < 0 and d122 > 0)
-    )
+def _coexistence(triple: DeterminantTriple) -> bool:
+    """(+,+,-): a stable interior equilibrium; both axes are unstable."""
+    return triple.d12 > 0 and triple.d112 > 0 and triple.d122 < 0
+
+
+def _bistability(triple: DeterminantTriple) -> bool:
+    """(-,-,+): an interior saddle separates two attracting axes."""
+    return triple.d12 < 0 and triple.d112 < 0 and triple.d122 > 0
+
+
+def thm_axis1_asymptotically_stable(triple: DeterminantTriple) -> bool:
+    """Axis-1 equilibrium attracts the closed quadrant iff species 1
+    dominates or the picture is bistable."""
+    return _axis1_dominance(triple) or _bistability(triple)
 
 
 def thm_axis1_unstable(triple: DeterminantTriple) -> bool:
-    d12, d112, d122 = triple.d12, triple.d112, triple.d122
-    return (
-        (d112 > 0 and d122 > 0)
-        or (d12 > 0 and d112 > 0 and d122 == 0)
-        or (d12 < 0 and d112 == 0 and d122 > 0)
-        or (d12 > 0 and d112 > 0 and d122 < 0)
-    )
+    """Axis-1 equilibrium is unstable iff species 2 dominates or the two
+    coexist."""
+    return _axis1_dominance(_species_swap(triple)) or _coexistence(triple)
+
+
+def thm_axis2_asymptotically_stable(triple: DeterminantTriple) -> bool:
+    return thm_axis1_asymptotically_stable(_species_swap(triple))
 
 
 def thm_axis2_unstable(triple: DeterminantTriple) -> bool:
-    d12, d112, d122 = triple.d12, triple.d112, triple.d122
-    return (
-        (d112 < 0 and d122 < 0)
-        or (d12 < 0 and d112 < 0 and d122 == 0)
-        or (d12 > 0 and d112 == 0 and d122 < 0)
-        or (d12 > 0 and d112 > 0 and d122 < 0)
-    )
+    return thm_axis1_unstable(_species_swap(triple))
 
 
 def thm_no_open_quadrant_equilibrium(triple: DeterminantTriple) -> bool:
-    """No equilibrium lies in the open quadrant iff one of the axis
-    equilibria already attracts or repels it outright — the union of the
-    first three clauses of both attraction criteria."""
-    d12, d112, d122 = triple.d12, triple.d112, triple.d122
-    return (
-        (d112 < 0 and d122 < 0)
-        or (d12 < 0 and d112 < 0 and d122 == 0)
-        or (d12 > 0 and d112 == 0 and d122 < 0)
-        or (d112 > 0 and d122 > 0)
-        or (d12 > 0 and d112 > 0 and d122 == 0)
-        or (d12 < 0 and d112 == 0 and d122 > 0)
-    )
+    """No equilibrium lies in the open quadrant iff one of the species
+    dominates outright."""
+    return _axis1_dominance(triple) or _axis1_dominance(_species_swap(triple))
 
 
 def thm_interior_class(triple: DeterminantTriple) -> Optional[StabilityClass]:
     """Interior-equilibrium verdict: a sink for (+,+,-), a saddle for
     (-,-,+), absent otherwise."""
-    d12, d112, d122 = triple.d12, triple.d112, triple.d122
-    if d12 > 0 and d112 > 0 and d122 < 0:
+    if _coexistence(triple):
         return StabilityClass(Verdict.ASYMPTOTICALLY_STABLE, Scope.INTERIOR_ONLY,
                               Basis.LINEARIZATION)
-    if d12 < 0 and d112 < 0 and d122 > 0:
+    if _bistability(triple):
         return StabilityClass(Verdict.SADDLE, Scope.FULL_NEIGHBORHOOD, Basis.LINEARIZATION)
     return None
 

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 2 on bad input (including non-positive
-parameters), 3 when the ``verify`` subcommand finds a disagreement or an
-inconclusive probe.
+parameters and values outside the floating-point range), 3 when the
+``verify`` subcommand finds a disagreement or an inconclusive probe.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .exact import QuadraticSurd
-from .model import ParameterError, SystemParams, as_fraction, compute_determinants
+from .model import ParameterError, SystemParams, as_fraction
 from .equilibria import Equilibrium, EquilibriumKind, find_equilibria
 from .classifier import Scope, classify, cross_check_theorems
 from .dynamics import (
@@ -110,14 +110,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         lines.append(f"pattern (full neighborhood): ({', '.join(full)})")
         lines.append(f"pattern (closed quadrant):   ({', '.join(quad)})")
     lines.append("verdicts:")
-    for kind in (EquilibriumKind.ORIGIN, EquilibriumKind.AXIS1, EquilibriumKind.AXIS2,
-                 EquilibriumKind.INTERIOR, EquilibriumKind.LINE_MEMBER):
+    for kind in EquilibriumKind:
         per_scope = report.verdicts.get(kind)
         if not per_scope:
             continue
         parts = []
-        for scope in (Scope.FULL_NEIGHBORHOOD, Scope.FIRST_QUADRANT_CLOSED,
-                      Scope.INTERIOR_ONLY):
+        for scope in Scope:
             sc = per_scope.get(scope)
             if sc is not None:
                 parts.append(f"{scope.value}: {sc.verdict.value} [{sc.basis.value}]")
@@ -214,7 +212,7 @@ def _verify_one(params: SystemParams, label: str, scope_name: str, seed: int,
         ok = False
         emit(f"FAIL criteria check: {cross.disagreements}")
 
-    d = compute_determinants(params)
+    d = report.determinants
     if d.d12 != 0 and (d.d122 == 0 or d.d112 == 0):
         which = LyapunovTarget.FOR_AXIS2 if d.d122 == 0 else LyapunovTarget.FOR_AXIS1
         try:
@@ -405,6 +403,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError:
+        # Exact parameters can exceed what the numerical layer's floats hold.
+        print("error: parameter values are outside the floating-point range",
+              file=sys.stderr)
         return 2
 
 

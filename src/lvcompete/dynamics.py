@@ -539,16 +539,15 @@ class ProbeRegion:
         if transverse_sign is Sign.ZERO:
             raise ValueError("transverse_sign must be POS or NEG")
         p = self.params
+        d = compute_determinants(p)
         r = Fraction(radius)
         u = r / 2 if transverse_sign is Sign.POS else -r / 2
         if self.side is WedgeSide.NEAR_AXIS2:
-            d122 = p.a12 * p.b2 - p.a22 * p.b1
-            v_a = (-d122 / p.a22 - p.a11 * u) / p.a12   # F1 = 0 boundary
-            v_b = -(p.a21 / p.a22) * u                  # F2 = 0 boundary
+            v_a = (-d.d122 / p.a22 - p.a11 * u) / p.a12   # F1 = 0 boundary
+            v_b = -(p.a21 / p.a22) * u                    # F2 = 0 boundary
         else:
-            d112 = p.a11 * p.b2 - p.a21 * p.b1
-            v_a = -(p.a12 / p.a11) * u                  # F1 = 0 boundary
-            v_b = (d112 / p.a11 - p.a22 * u) / p.a21    # F2 = 0 boundary
+            v_a = -(p.a12 / p.a11) * u                    # F1 = 0 boundary
+            v_b = (d.d112 / p.a11 - p.a22 * u) / p.a21    # F2 = 0 boundary
         lo, hi = min(v_a, v_b), max(v_a, v_b)
         points: List[Tuple[Fraction, Fraction]] = []
         for i in range(1, count + 1):

@@ -34,7 +34,6 @@ __all__ = [
     "EquilibriumLine",
     "jacobian_at",
     "interior_point",
-    "eigenvalues_of",
     "find_equilibria",
 ]
 
@@ -137,9 +136,6 @@ class EquilibriumLine:
             )
         p = self.params
         x1 = (p.b1 - p.a12 * alpha) / p.a11
-        # One eigenvalue vanishes along the line; the transverse one is the
-        # Jacobian trace and stays negative on the whole segment.
-        lam2 = -(p.b1 - p.a12 * alpha) - p.a22 * alpha
         coincides = None
         if alpha == self.alpha_min:
             coincides = EquilibriumKind.AXIS1
@@ -149,7 +145,9 @@ class EquilibriumLine:
             kind=EquilibriumKind.LINE_MEMBER,
             x1=x1,
             x2=alpha,
-            eigenvalues=EigenPair(Fraction(0), lam2),
+            # With d12 = 0 one eigenvalue vanishes along the line; the
+            # transverse one is the Jacobian trace, negative on the segment.
+            eigenvalues=_interior_eigenpair(p, Fraction(0), x1, alpha),
             coincides_with=coincides,
             alpha=alpha,
         )
@@ -188,10 +186,11 @@ def interior_point(params: SystemParams) -> Optional[RationalPair]:
     return (-d.d122 / d.d12, d.d112 / d.d12)
 
 
-def _interior_eigenpair(params: SystemParams, x1: Fraction, x2: Fraction) -> EigenPair:
-    d = compute_determinants(params)
+def _interior_eigenpair(params: SystemParams, d12: Fraction,
+                        x1: Fraction, x2: Fraction) -> EigenPair:
+    """Eigenvalues at a point on both oblique nullclines, kept exact."""
     t = params.a11 * x1 + params.a22 * x2        # = -trace of the Jacobian
-    det = x1 * x2 * d.d12                        # = its determinant
+    det = x1 * x2 * d12                          # = its determinant
     disc = t * t - 4 * det
 
     def collapse(surd: QuadraticSurd) -> ExactNumber:
@@ -201,29 +200,6 @@ def _interior_eigenpair(params: SystemParams, x1: Fraction, x2: Fraction) -> Eig
     plus = QuadraticSurd(p=-t, q=disc, r=Fraction(2), branch=+1)
     minus = QuadraticSurd(p=-t, q=disc, r=Fraction(2), branch=-1)
     return EigenPair(collapse(plus), collapse(minus))
-
-
-def eigenvalues_of(params: SystemParams, eq: Equilibrium) -> EigenPair:
-    """Closed-form eigenvalues for an equilibrium produced here.
-
-    The axis and origin cases are triangular, so the eigenvalues are plain
-    rationals; the interior case solves its characteristic quadratic exactly.
-    """
-    p = params
-    d = compute_determinants(params)
-    kind = eq.kind
-    if kind is EquilibriumKind.ORIGIN:
-        return EigenPair(p.b1, p.b2)
-    if kind is EquilibriumKind.AXIS1:
-        return EigenPair(-p.b1, d.d112 / p.a11)
-    if kind is EquilibriumKind.AXIS2:
-        return EigenPair(-d.d122 / p.a22, -p.b2)
-    if kind is EquilibriumKind.INTERIOR:
-        return _interior_eigenpair(params, eq.x1, eq.x2)
-    if kind is EquilibriumKind.LINE_MEMBER:
-        lam2 = -(p.b1 - p.a12 * eq.x2) - p.a22 * eq.x2
-        return EigenPair(Fraction(0), lam2)
-    raise ValueError(f"unknown equilibrium kind: {kind!r}")
 
 
 def find_equilibria(
@@ -271,7 +247,7 @@ def find_equilibria(
             result.append(
                 Equilibrium(
                     kind=EquilibriumKind.INTERIOR, x1=x1, x2=x2,
-                    eigenvalues=_interior_eigenpair(params, x1, x2),
+                    eigenvalues=_interior_eigenpair(params, d.d12, x1, x2),
                 )
             )
     return result

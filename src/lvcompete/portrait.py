@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .model import SystemParams, compute_determinants
+from .model import SystemParams
 from .equilibria import Equilibrium
-from .classifier import Scope, Verdict, classify
+from .classifier import ClassificationReport, Scope, classify
 from .dynamics import IntegratorOptions, integrate
 
 __all__ = ["PortraitSpec", "render_portrait"]
@@ -29,16 +29,6 @@ DEFAULT_COLORS: Dict[str, str] = {
     "AS": "#d7261e",
     "SS": "#f08c00",
     "NI": "#f5a3c7",
-}
-
-_COARSE = {
-    Verdict.UNSTABLE_NODE: "U",
-    Verdict.SADDLE: "U",
-    Verdict.UNSTABLE: "U",
-    Verdict.STABLE_NODE: "AS",
-    Verdict.ASYMPTOTICALLY_STABLE: "AS",
-    Verdict.SEMI_STABLE: "SS",
-    Verdict.NON_ISOLATED: "NI",
 }
 
 _LEGEND_TEXT = {
@@ -216,8 +206,8 @@ def _place_arrows(canvas: _Canvas, params: SystemParams, pts: List[Tuple[float, 
         canvas.arrow_glyph(x, y, math.atan2(vy, vx))
 
 
-def _draw_equilibria(canvas: _Canvas, params: SystemParams, spec: PortraitSpec) -> None:
-    report = classify(params)
+def _draw_equilibria(canvas: _Canvas, report: ClassificationReport,
+                     spec: PortraitSpec) -> None:
     line = report.line
     if line is not None:
         a, b = line.endpoints()
@@ -230,7 +220,7 @@ def _draw_equilibria(canvas: _Canvas, params: SystemParams, spec: PortraitSpec) 
         sc = report.verdict_at(eq.kind, spec.scope)
         if sc is None:
             sc = report.verdict_at(eq.kind, Scope.FULL_NEIGHBORHOOD)
-        label = _COARSE[sc.verdict]
+        label = sc.verdict.coarse_label
         x, y = eq.float_position
         if canvas.inside(x, y):
             canvas.circle(x, y, 5, spec.colors[label])
@@ -263,19 +253,20 @@ def _draw_legend(canvas: _Canvas, spec: PortraitSpec, labels: List[str]) -> None
 def render_portrait(params: SystemParams, spec: Optional[PortraitSpec] = None) -> str:
     """Render the quadrant phase portrait as an SVG document string."""
     spec = spec or PortraitSpec()
+    report = classify(params)
     x_max, y_max = spec.viewport or _auto_viewport(params)
     canvas = _Canvas(spec, (-x_max / 20.0, x_max), (-y_max / 20.0, y_max))
 
     _draw_axes(canvas)
     _draw_nullclines(canvas, params)
     _draw_trajectories(canvas, params, spec)
-    _draw_equilibria(canvas, params, spec)
+    _draw_equilibria(canvas, report, spec)
 
-    d = compute_determinants(params)
+    signs = report.determinants.signs
     title = (f"b = ({params.b1}, {params.b2}), "
              f"a = (({params.a11}, {params.a12}), ({params.a21}, {params.a22})); "
-             f"determinant signs ({d.signs[0].glyph}, {d.signs[1].glyph}, "
-             f"{d.signs[2].glyph})")
+             f"determinant signs ({signs[0].glyph}, {signs[1].glyph}, "
+             f"{signs[2].glyph})")
     header = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '

@@ -195,10 +195,18 @@ def test_output_redirects_to_file(tmp_path, capsys):
     assert json.loads(target.read_text())["sign_case"]["table6_serial"] == 1
 
 
-def test_malformed_values_are_parameter_errors(capsys):
+def test_malformed_values_are_parameter_errors(capsys, tmp_path):
     code, _, err = run(capsys, "classify", "--b", "3", "--a", "1,1,1,2")
     assert code == 2
     assert "--b expects 2 comma-separated values" in err
     code, _, err = run(capsys, "classify", "--b", "3,x", "--a", "1,1,1,2")
     assert code == 2
     assert "could not parse" in err
+    # Exact parameters too large for a float reach the numerical layer.
+    huge = ["--b", "1e400,1", "--a", "1,1,1,1"]
+    for argv in (["simulate", "--start", "1,1", *huge],
+                 ["verify", *huge],
+                 ["portrait", "--out", str(tmp_path / "huge.svg"), *huge]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err == "error: parameter values are outside the floating-point range\n", argv

@@ -121,7 +121,7 @@ class PathRoot:
     """A root of one determinant polynomial inside the open interval (0, 1).
 
     Rational roots carry their exact value; irrational ones carry a
-    sign-change bracket of width <= the scan's refinement width.
+    sign-change bracket of width <= ``DEFAULT_BRACKET_WIDTH``.
     """
 
     poly: QuadraticPoly
@@ -167,10 +167,9 @@ class PathRoot:
         }
 
 
-def _bisect(poly: QuadraticPoly, lo: Fraction, hi: Fraction,
-            width: Fraction) -> Tuple[Fraction, Fraction]:
+def _bisect(poly: QuadraticPoly, lo: Fraction, hi: Fraction) -> Tuple[Fraction, Fraction]:
     s_lo = sign_of(poly(lo))
-    while hi - lo > width:
+    while hi - lo > DEFAULT_BRACKET_WIDTH:
         mid = (lo + hi) / 2
         s_mid = sign_of(poly(mid))
         if s_mid is Sign.ZERO:  # cannot happen for an irrational root, but be safe
@@ -182,9 +181,7 @@ def _bisect(poly: QuadraticPoly, lo: Fraction, hi: Fraction,
     return (lo, hi)
 
 
-def _roots_in_open_unit_interval(
-    poly: QuadraticPoly, width: Fraction
-) -> List[PathRoot]:
+def _roots_in_open_unit_interval(poly: QuadraticPoly) -> List[PathRoot]:
     if poly.is_identically_zero:
         return []
     c0, c1, c2 = poly.c0, poly.c1, poly.c2
@@ -219,7 +216,7 @@ def _roots_in_open_unit_interval(
     cuts = sorted({Fraction(0), Fraction(1), *([vertex] if 0 < vertex < 1 else [])})
     for lo, hi in zip(cuts, cuts[1:]):
         if sign_of(poly(lo)) is not sign_of(poly(hi)):
-            bracket = _bisect(poly, lo, hi, width)
+            bracket = _bisect(poly, lo, hi)
             roots.append(PathRoot(poly=poly, exact=None, bracket=bracket,
                                   multiplicity=1, sign_change=True))
     return roots
@@ -361,10 +358,7 @@ def _side_classes(
     return classes.get(axis_kind), classes.get(EquilibriumKind.INTERIOR)
 
 
-def scan_path(
-    path: ParameterPath,
-    bracket_width: Fraction = DEFAULT_BRACKET_WIDTH,
-) -> PathScan:
+def scan_path(path: ParameterPath) -> PathScan:
     """Find and classify every determinant zero along the open path.
 
     Roots at s = 0 or s = 1 exactly are not events: there is no sign change
@@ -380,7 +374,7 @@ def scan_path(
 
     located: List[Tuple[WhichDeterminant, PathRoot]] = []
     for which, poly in polys.items():
-        for root in _roots_in_open_unit_interval(poly, bracket_width):
+        for root in _roots_in_open_unit_interval(poly):
             located.append((which, root))
 
     # Group co-located roots.

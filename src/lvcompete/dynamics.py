@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -97,26 +97,30 @@ class TerminalStatus(Enum):
     STOPPED = "stop condition met"
 
 
+#: Trailing time span over which a converging run must also have stopped
+#: moving (see ``IntegratorOptions.conv_tol``).
+_CONV_WINDOW = 1.0
+
+
 @dataclass(frozen=True)
 class IntegratorOptions:
     """Tuning knobs for :func:`integrate`.
 
     ``conv_tol`` gates the convergence detector (velocity below the
-    tolerance *and* total displacement over the trailing ``conv_window``
-    time units below it); set it to 0 to disable detection entirely.
+    tolerance *and* total displacement over the trailing 1.0 time units,
+    ``_CONV_WINDOW``, below it); set it to 0 to disable detection entirely.
     ``fixed_step`` disables adaptivity — used by the order-measurement
-    tests.  ``stop_condition`` is checked after every accepted step and
-    ends the run with status STOPPED.
+    tests.  Otherwise the first step is guessed from the initial speed and
+    steps are never clamped from above.  ``stop_condition`` is checked on
+    the initial point and after every accepted step and ends the run with
+    status STOPPED.
     """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     conv_tol: float = 1e-9
-    conv_window: float = 1.0
     escape_bound: float = 1e6
     min_step_factor: float = 1e-14
-    first_step: Optional[float] = None
-    max_step: Optional[float] = None
     fixed_step: Optional[float] = None
     stop_condition: Optional[Callable[[float, Point], bool]] = None
     #: Store every n-th accepted step (plus the first and last).  Long probe
@@ -129,8 +133,6 @@ class IntegratorOptions:
 class Trajectory:
     samples: List[Tuple[float, float, float]]
     terminal_status: TerminalStatus
-    terminal_point: Optional[Point] = None
-    terminal_tolerance: Optional[float] = None
     terminal_bound: Optional[float] = None
     n_accepted: int = 0
     n_rejected: int = 0
@@ -190,7 +192,7 @@ def integrate(
     opts = opts or IntegratorOptions()
     b1, b2, a11, a12, a21, a22 = _float_params(params)
     rel_tol, abs_tol = opts.rel_tol, opts.abs_tol
-    conv_tol, conv_window = opts.conv_tol, opts.conv_window
+    conv_tol = opts.conv_tol
     escape_bound = opts.escape_bound
     stop_condition = opts.stop_condition
     sample_every = max(1, opts.sample_every)
@@ -209,7 +211,7 @@ def integrate(
                           n_accepted=n_accepted, n_rejected=n_rejected, **extra)
 
     if stop_condition is not None and stop_condition(t, (x1, x2)):
-        return finish(TerminalStatus.STOPPED, terminal_point=(x1, x2))
+        return finish(TerminalStatus.STOPPED)
     if max(abs(x1), abs(x2)) > escape_bound:
         return finish(TerminalStatus.LEFT_DOMAIN, terminal_bound=escape_bound)
     # Stage-1 slopes; reused across rejected retries and carried over from
@@ -217,27 +219,21 @@ def integrate(
     k11 = x1 * (b1 - a11 * x1 - a12 * x2)
     k12 = x2 * (b2 - a21 * x1 - a22 * x2)
     if conv_tol > 0 and max(abs(k11), abs(k12)) <= conv_tol:
-        return finish(TerminalStatus.CONVERGED, terminal_point=(x1, x2),
-                      terminal_tolerance=conv_tol)
+        return finish(TerminalStatus.CONVERGED)
 
     min_step = opts.min_step_factor * horizon
     if fixed is not None:
         h = fixed
-    elif opts.first_step is not None:
-        h = opts.first_step
     else:
         # Crude but serviceable starting guess; the controller corrects it
         # within a step or two.
         speed = max(abs(k11), abs(k12))
         h = min(horizon * 0.1, 0.01 * (max(abs(x1), abs(x2)) + 1.0) / (speed + 1e-12))
         h = max(h, min_step)
-    max_step = opts.max_step
     err_prev = 1.0
     since_sample = 0
 
     while t < horizon:
-        if max_step is not None and h > max_step:
-            h = max_step
         if h > horizon - t:
             h = horizon - t
 
@@ -293,7 +289,7 @@ def integrate(
             since_sample = 0
 
         if stop_condition is not None and stop_condition(t, (x1, x2)):
-            return finish(TerminalStatus.STOPPED, terminal_point=(x1, x2))
+            return finish(TerminalStatus.STOPPED)
         if not (abs(x1) <= escape_bound and abs(x2) <= escape_bound):
             # non-finite coordinates land here too
             return finish(TerminalStatus.LEFT_DOMAIN, terminal_bound=escape_bound)
@@ -303,14 +299,13 @@ def integrate(
         k12 = x2 * (b2 - a21 * x1 - a22 * x2)
         if conv_tol > 0:
             window.append((t, x1, x2))
-            while len(window) >= 2 and window[1][0] <= t - conv_window:
+            while len(window) >= 2 and window[1][0] <= t - _CONV_WINDOW:
                 window.popleft()
             if (max(abs(k11), abs(k12)) <= conv_tol
-                    and window[0][0] <= t - conv_window):
+                    and window[0][0] <= t - _CONV_WINDOW):
                 drift = max(max(abs(x1 - w1), abs(x2 - w2)) for _, w1, w2 in window)
                 if drift <= conv_tol:
-                    return finish(TerminalStatus.CONVERGED, terminal_point=(x1, x2),
-                                  terminal_tolerance=conv_tol)
+                    return finish(TerminalStatus.CONVERGED)
 
         if fixed is None:
             e = err if err > 1e-10 else 1e-10
@@ -538,33 +533,36 @@ class ProbeRegion:
         """
         if transverse_sign is Sign.ZERO:
             raise ValueError("transverse_sign must be POS or NEG")
+        if self.side is WedgeSide.NEAR_AXIS2:
+            points = self._near_axis2_candidates(radius, count, transverse_sign)
+        else:
+            # The species swap maps this wedge onto the NEAR_AXIS2 wedge of
+            # the swapped system, with the two coordinates exchanged.
+            p = self.params
+            twin = nullcline_wedge(SystemParams(b1=p.b2, b2=p.b1, a11=p.a22, a12=p.a21,
+                                                a21=p.a12, a22=p.a11), WedgeSide.NEAR_AXIS2)
+            points = [(x1, x2) for x2, x1 in
+                      twin._near_axis2_candidates(radius, count, transverse_sign)]
+        if not all(self.contains(point) for point in points):
+            raise ValueError(
+                f"wedge {self.side.value} is empty on the "
+                f"{'positive' if transverse_sign is Sign.POS else 'negative'} side "
+                f"for these parameters (d12 has the wrong sign)"
+            )
+        return points
+
+    def _near_axis2_candidates(self, radius, count: int, transverse_sign: Sign
+                               ) -> List[Tuple[Fraction, Fraction]]:
+        """The points :meth:`sample_near` tries in a NEAR_AXIS2 wedge."""
         p = self.params
         d = compute_determinants(p)
         r = Fraction(radius)
         u = r / 2 if transverse_sign is Sign.POS else -r / 2
-        if self.side is WedgeSide.NEAR_AXIS2:
-            v_a = (-d.d122 / p.a22 - p.a11 * u) / p.a12   # F1 = 0 boundary
-            v_b = -(p.a21 / p.a22) * u                    # F2 = 0 boundary
-        else:
-            v_a = -(p.a12 / p.a11) * u                    # F1 = 0 boundary
-            v_b = (d.d112 / p.a11 - p.a22 * u) / p.a21    # F2 = 0 boundary
+        v_a = (-d.d122 / p.a22 - p.a11 * u) / p.a12   # F1 = 0 boundary
+        v_b = -(p.a21 / p.a22) * u                    # F2 = 0 boundary
         lo, hi = min(v_a, v_b), max(v_a, v_b)
-        points: List[Tuple[Fraction, Fraction]] = []
-        for i in range(1, count + 1):
-            w = Fraction(i, count + 1)
-            offset = lo + (hi - lo) * w
-            if self.side is WedgeSide.NEAR_AXIS2:
-                candidate = (self.anchor[0] + u, self.anchor[1] + offset)
-            else:
-                candidate = (self.anchor[0] + offset, self.anchor[1] + u)
-            if not self.contains(candidate):
-                raise ValueError(
-                    f"wedge {self.side.value} is empty on the "
-                    f"{'positive' if transverse_sign is Sign.POS else 'negative'} side "
-                    f"for these parameters (d12 has the wrong sign)"
-                )
-            points.append(candidate)
-        return points
+        return [(self.anchor[0] + u, self.anchor[1] + lo + (hi - lo) * Fraction(i, count + 1))
+                for i in range(1, count + 1)]
 
 
 def nullcline_wedge(params: SystemParams, side: WedgeSide) -> ProbeRegion:
@@ -614,6 +612,9 @@ class LyapunovCheck:
                 and self.all_signs_match and self.all_positive)
 
 
+#: Both coordinates of the Lyapunov sample points range over this interval.
+_LYAPUNOV_BOX = (0.1, 5.0)
+
 _PLASTIC = 1.32471795724474602596  # real root of x^3 = x + 1; drives the R2 sequence
 
 
@@ -628,7 +629,6 @@ def lyapunov_verify(
     params: SystemParams,
     which: LyapunovTarget,
     sample_count: int = 1000,
-    domain_bounds: Tuple[Tuple[float, float], Tuple[float, float]] = ((0.1, 5.0), (0.1, 5.0)),
     seed: int = 0,
 ) -> LyapunovCheck:
     """Check the monomial Lyapunov candidate on quasi-random interior points.
@@ -639,6 +639,8 @@ def lyapunov_verify(
     routes to dV/dt are compared at every sample: the closed form, and a
     complex-step gradient of the V closure dotted with the vector field.
     The sign of dV/dt must equal -sign(d12) throughout the open quadrant.
+    The ``sample_count`` points fill the fixed box (0.1, 5)^2
+    (``_LYAPUNOV_BOX``); ``seed`` offsets the quasi-random sequence.
     """
     d = compute_determinants(params)
     if which is LyapunovTarget.FOR_AXIS2:
@@ -650,10 +652,7 @@ def lyapunov_verify(
             raise NotApplicable(f"axis-1 construction requires d112 = 0, got {d.d112}")
         p_exp, q_exp = -params.a21, params.a11
 
-    (lo1, hi1), (lo2, hi2) = domain_bounds
-    if lo1 <= 0 or lo2 <= 0:
-        raise ValueError("domain bounds must keep both coordinates strictly positive")
-
+    lo, hi = _LYAPUNOV_BOX
     pf, qf = float(p_exp), float(q_exp)
     d12f = float(d.d12)
     f = _field_function(params)
@@ -668,8 +667,8 @@ def lyapunov_verify(
     all_signs = True
     all_positive = True
     for u, w in _r2_sequence(sample_count, offset=seed):
-        x1 = lo1 + u * (hi1 - lo1)
-        x2 = lo2 + w * (hi2 - lo2)
+        x1 = lo + u * (hi - lo)
+        x2 = lo + w * (hi - lo)
         v = math.exp(pf * math.log(x1) + qf * math.log(x2))
         if which is LyapunovTarget.FOR_AXIS2:
             vdot_closed = -d12f * math.exp((pf + 1.0) * math.log(x1) + qf * math.log(x2))
@@ -720,33 +719,43 @@ class EmpiricalVerdictKind(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+#: Ring radius per unit of ``max(1, |eq|)``.
+_PROBE_RADIUS_FACTOR = 1e-3
+#: Speed below which a probe counts as having stopped moving.
+_SETTLE_VELOCITY = 1e-9
+#: Radius of the escape ball, in ring radii.
+_ESCAPE_FACTOR = 10.0
+#: Extra probes planted inside an escaping wedge.
+_WEDGE_PROBE_COUNT = 4
+#: Integrator settings of every probe run; :func:`empirical_stability` adds
+#: the stop condition, the convergence gate and the escape bound.
+_PROBE_INTEGRATOR = IntegratorOptions(rel_tol=1e-8, abs_tol=1e-11, conv_tol=0.0,
+                                      sample_every=64)
+
+
 @dataclass(frozen=True)
 class ProbeProtocol:
     """How to surround an equilibrium with test trajectories.
 
-    Probes start on a ring of radius ``radius_factor * max(1, |eq|)``
-    (shrunk if another equilibrium is nearby) at equally spaced angles
-    offset by half a slot so that no probe starts exactly on an axis.
-    A probe converges if it comes within ``settle_tol`` of the target,
-    escapes if it leaves the ball of ``escape_factor`` radii and stays out,
-    and settles elsewhere if it stops moving anywhere else.  For
-    full-plane probing of a degenerate axis equilibrium with d12 > 0,
-    extra probes are planted inside the escaping wedge, which can be too
-    thin for angular sampling to hit.
+    ``probe_count`` probes start on a ring of radius
+    ``1e-3 * max(1, |eq|)`` (``_PROBE_RADIUS_FACTOR``; shrunk if another
+    equilibrium is nearby) at equally spaced angles offset by half a slot
+    so that no probe starts exactly on an axis.  A probe converges if it
+    comes within ``settle_tol`` of the target before ``horizon``, escapes
+    if it leaves the ball of 10 ring radii (``_ESCAPE_FACTOR``) and stays
+    out, and settles elsewhere if it stops moving (speed at most 1e-9,
+    ``_SETTLE_VELOCITY``) anywhere else.  For full-plane probing of a
+    degenerate axis equilibrium with d12 > 0, four extra probes
+    (``_WEDGE_PROBE_COUNT``) are planted inside the escaping wedge, which
+    can be too thin for angular sampling to hit.  Every probe integrates
+    with rtol 1e-8 and atol 1e-11 and stores every 64th step
+    (``_PROBE_INTEGRATOR``).
     """
 
-    radius_factor: float = 1e-3
     probe_count: int = 16
     horizon: float = 1e4
     scope: ProbeScope = ProbeScope.FIRST_QUADRANT
     settle_tol: float = 1e-6
-    settle_velocity: float = 1e-9
-    escape_factor: float = 10.0
-    wedge_probe_count: int = 4
-    integrator: IntegratorOptions = field(
-        default_factory=lambda: IntegratorOptions(rel_tol=1e-8, abs_tol=1e-11,
-                                                  conv_tol=0.0, sample_every=64)
-    )
 
 
 @dataclass(frozen=True)
@@ -761,7 +770,6 @@ class ProbeResult:
     max_distance: float
     exited_ball: bool
     reentered_after_exit: bool
-    elapsed: float
 
     @property
     def started_in_quadrant(self) -> bool:
@@ -828,10 +836,10 @@ def _isolated_positions(params: SystemParams) -> List[Tuple[Fraction, Fraction]]
     return positions
 
 
-def _probe_radius(params: SystemParams, eq: Equilibrium, protocol: ProbeProtocol) -> float:
+def _probe_radius(params: SystemParams, eq: Equilibrium) -> float:
     ex, ey = eq.float_position
     scale = max(1.0, math.hypot(ex, ey))
-    r = protocol.radius_factor * scale
+    r = _PROBE_RADIUS_FACTOR * scale
     if eq.kind is not EquilibriumKind.LINE_MEMBER:
         for pos in _isolated_positions(params):
             dx = float(pos[0]) - ex
@@ -842,56 +850,8 @@ def _probe_radius(params: SystemParams, eq: Equilibrium, protocol: ProbeProtocol
     return r
 
 
-def _grade_probe(
-    label: str,
-    start: Point,
-    in_wedge: bool,
-    traj: Trajectory,
-    target: Point,
-    ball: float,
-    settle_tol: float,
-    settle_velocity: float,
-    f: Callable[[Point], Point],
-) -> ProbeResult:
-    tx, ty = target
-    max_dist = 0.0
-    exited = False
-    outside = False
-    reentered = False
-    for _, x1, x2 in traj.samples:
-        dist = math.hypot(x1 - tx, x2 - ty)
-        max_dist = max(max_dist, dist)
-        if dist > ball:
-            exited = True
-            outside = True
-        elif outside:
-            outside = False
-            reentered = True
-    fx1, fx2 = traj.final_point
-    final_dist = math.hypot(fx1 - tx, fx2 - ty)
-
-    # STOPPED alone does not mean success: the stop condition also halts
-    # probes that have settled at some other attractor far from the target.
-    if final_dist <= settle_tol:
-        outcome = ProbeOutcome.CONVERGED_TO_TARGET
-    elif exited and (final_dist > ball or traj.terminal_status is TerminalStatus.LEFT_DOMAIN):
-        outcome = ProbeOutcome.ESCAPED
-    elif (math.isfinite(fx1) and math.isfinite(fx2)
-          and _norm_inf(f((fx1, fx2))) <= settle_velocity):
-        outcome = ProbeOutcome.SETTLED_ELSEWHERE
-    else:
-        outcome = ProbeOutcome.UNDECIDED
-    return ProbeResult(
-        label=label, start=start, in_wedge=in_wedge, outcome=outcome,
-        status=traj.terminal_status, final_point=traj.final_point,
-        final_distance=final_dist, max_distance=max_dist,
-        exited_ball=exited, reentered_after_exit=reentered,
-        elapsed=traj.final_time,
-    )
-
-
 def _wedge_starts(
-    params: SystemParams, eq: Equilibrium, radius: float, count: int
+    params: SystemParams, eq: Equilibrium, radius: float
 ) -> List[Tuple[Fraction, Fraction]]:
     """Escape-side wedge points for a degenerate axis equilibrium, if any."""
     d = compute_determinants(params)
@@ -906,7 +866,8 @@ def _wedge_starts(
     else:
         return []
     wedge = nullcline_wedge(params, side)
-    return wedge.sample_near(Fraction(radius), count=count, transverse_sign=Sign.NEG)
+    return wedge.sample_near(Fraction(radius), count=_WEDGE_PROBE_COUNT,
+                             transverse_sign=Sign.NEG)
 
 
 def empirical_stability(
@@ -925,14 +886,14 @@ def empirical_stability(
     """
     protocol = protocol or ProbeProtocol()
     target = eq.float_position
-    radius = _probe_radius(params, eq, protocol)
+    radius = _probe_radius(params, eq)
     if radius < 10.0 * protocol.settle_tol:
         return EmpiricalVerdict(
             target=eq, scope=protocol.scope, verdict=EmpiricalVerdictKind.INCONCLUSIVE,
             probes=[], radius=radius, horizon=protocol.horizon,
             note="probe radius collides with settle tolerance; equilibria too close",
         )
-    ball = protocol.escape_factor * radius
+    ball = _ESCAPE_FACTOR * radius
 
     horizon = protocol.horizon
     if Sign.ZERO in eq.eigenvalues.realpart_signs:
@@ -948,37 +909,8 @@ def empirical_stability(
             continue
         starts.append((f"angle-{k}", (sx, sy), False))
     if protocol.scope is ProbeScope.FULL_PLANE:
-        for i, pt in enumerate(_wedge_starts(params, eq, radius, protocol.wedge_probe_count)):
+        for i, pt in enumerate(_wedge_starts(params, eq, radius)):
             starts.append((f"wedge-{i}", (float(pt[0]), float(pt[1])), True))
-
-    settle = protocol.settle_tol
-    stop_dist = 0.99 * settle
-    vel_floor = protocol.settle_velocity
-    b1f, b2f, a11f, a12f, a21f, a22f = _float_params(params)
-    # Rounding noise in the field near a rest point scales with the terms
-    # that cancel there; an absolute velocity threshold can sit permanently
-    # below that noise when the rest point has large coordinates.
-    noise = 16.0 * 2.220446049250313e-16
-
-    def stop_condition(t: float, x: Point) -> bool:
-        if t <= 0.0:
-            return False
-        x1, x2 = x
-        dist = math.hypot(x1 - target[0], x2 - target[1])
-        if dist <= stop_dist:
-            return True
-        if dist <= ball:
-            return False
-        # Outside the escape ball: halt once the probe has settled at some
-        # other attractor, judged against a scale-aware noise floor.  Without
-        # this, a probe of a zero-eigenvalue target (which disables the
-        # velocity detector, and extends the horizon) would grind out tens of
-        # millions of steps parked at a neighboring sink.
-        f1 = x1 * (b1f - a11f * x1 - a12f * x2)
-        f2 = x2 * (b2f - a21f * x1 - a22f * x2)
-        lim1 = max(vel_floor, noise * abs(x1) * (b1f + a11f * abs(x1) + a12f * abs(x2)))
-        lim2 = max(vel_floor, noise * abs(x2) * (b2f + a21f * abs(x1) + a22f * abs(x2)))
-        return abs(f1) <= lim1 and abs(f2) <= lim2
 
     # Velocity-based convergence detection would misfire on a slow
     # (center-manifold) approach: the speed drops below any tolerance while
@@ -988,20 +920,81 @@ def empirical_stability(
     slow_target = (Sign.ZERO in eq.eigenvalues.realpart_signs
                    and eq.kind is not EquilibriumKind.LINE_MEMBER)
     opts = replace(
-        protocol.integrator,
-        stop_condition=stop_condition,
-        conv_tol=0.0 if slow_target else protocol.settle_velocity,
+        _PROBE_INTEGRATOR,
+        conv_tol=0.0 if slow_target else _SETTLE_VELOCITY,
         escape_bound=max(1e3, 1e3 * max(1.0, math.hypot(*target))),
     )
-    f = _field_function(params)
+    settle = protocol.settle_tol
+    stop_dist = 0.99 * settle
+    vel_floor = _SETTLE_VELOCITY
+    tx, ty = target
+    b1f, b2f, a11f, a12f, a21f, a22f = _float_params(params)
+    # Rounding noise in the field near a rest point scales with the terms
+    # that cancel there; an absolute velocity threshold can sit permanently
+    # below that noise when the rest point has large coordinates.
+    noise = 16.0 * 2.220446049250313e-16
 
-    results = [
-        _grade_probe(label, start, in_wedge,
-                     integrate(params, start, horizon, opts),
-                     target, ball, settle, protocol.settle_velocity, f)
-        for label, start, in_wedge in starts
-    ]
+    def run_probe(label: str, start: Point, in_wedge: bool) -> ProbeResult:
+        # The stop condition sees the start and every accepted step, so it
+        # also keeps the distance record: the maximum, whether the probe
+        # left the escape ball, and whether it came back in.
+        max_dist = low = 0.0
+        exited = reentered = False
 
+        def stop_condition(t: float, x: Point) -> bool:
+            nonlocal max_dist, low, exited, reentered
+            x1, x2 = x
+            dist = math.hypot(x1 - tx, x2 - ty)
+            if dist <= ball:
+                # ``low`` is the running maximum until the first exit, -1
+                # while outside and +inf once back in: inside the ball the
+                # record costs one comparison per step.
+                if dist > low:
+                    if exited:
+                        reentered = True
+                        low = math.inf
+                    else:
+                        max_dist = low = dist
+                return dist <= stop_dist and t > 0.0
+            if dist > max_dist:
+                max_dist = dist
+            exited = True
+            low = -1.0
+            if t <= 0.0:
+                return False
+            # Outside the escape ball: halt once the probe has settled at
+            # some other attractor, judged against a scale-aware noise floor.
+            # Without this, a probe of a zero-eigenvalue target (which
+            # disables the velocity detector, and extends the horizon) would
+            # grind out tens of millions of steps parked at a neighboring sink.
+            f1 = x1 * (b1f - a11f * x1 - a12f * x2)
+            f2 = x2 * (b2f - a21f * x1 - a22f * x2)
+            lim1 = max(vel_floor, noise * abs(x1) * (b1f + a11f * abs(x1) + a12f * abs(x2)))
+            lim2 = max(vel_floor, noise * abs(x2) * (b2f + a21f * abs(x1) + a22f * abs(x2)))
+            return abs(f1) <= lim1 and abs(f2) <= lim2
+
+        traj = integrate(params, start, horizon, replace(opts, stop_condition=stop_condition))
+        fx1, fx2 = traj.final_point
+        final_dist = math.hypot(fx1 - tx, fx2 - ty)
+        # STOPPED alone does not mean success: the stop condition also halts
+        # probes that have settled at some other attractor far from the target.
+        if final_dist <= settle:
+            outcome = ProbeOutcome.CONVERGED_TO_TARGET
+        elif exited and (final_dist > ball or traj.terminal_status is TerminalStatus.LEFT_DOMAIN):
+            outcome = ProbeOutcome.ESCAPED
+        elif (math.isfinite(fx1) and math.isfinite(fx2)
+              and _norm_inf(vector_field(params, (fx1, fx2))) <= vel_floor):
+            outcome = ProbeOutcome.SETTLED_ELSEWHERE
+        else:
+            outcome = ProbeOutcome.UNDECIDED
+        return ProbeResult(
+            label=label, start=start, in_wedge=in_wedge, outcome=outcome,
+            status=traj.terminal_status, final_point=traj.final_point,
+            final_distance=final_dist, max_distance=max_dist,
+            exited_ball=exited, reentered_after_exit=reentered,
+        )
+
+    results = [run_probe(*entry) for entry in starts]
     outcomes = [r.outcome for r in results]
     if not results:
         verdict = EmpiricalVerdictKind.INCONCLUSIVE

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from .exact import Sign, sign_of
 
@@ -289,19 +289,22 @@ class NotRealizable(Exception):
         super().__init__(f"no parameters with sign triple ({glyphs}) after {attempts} attempts")
 
 
+#: Rejection budget of :func:`sample_params`.
+_SAMPLE_ATTEMPTS = 100_000
+
+
 def sample_params(
     target: Union[SignCase, Tuple[Sign, Sign, Sign]],
     rng_seed: int = 0,
-    max_attempts: int = 100_000,
-    numerator_bound: int = 12,
-    denominator_bound: int = 4,
 ) -> SystemParams:
     """Rejection-sample positive rationals realising a target sign triple.
 
-    Zero targets are honoured constructively (a determinant is pinned to zero
+    Each parameter is drawn as n/d with n in 1..12 and d in 1..4.  Zero
+    targets are honoured constructively (a determinant is pinned to zero
     by solving for one parameter) and the remaining signs by rejection.
-    Raises :class:`NotRealizable` when the budget is exhausted, which is the
-    guaranteed outcome for the 14 impossible triples.
+    Raises :class:`NotRealizable` after 100,000 attempts
+    (``_SAMPLE_ATTEMPTS``), which is the guaranteed outcome for the 14
+    impossible triples.
     """
     if isinstance(target, SignCase):
         triple = target.triple
@@ -311,9 +314,9 @@ def sample_params(
     rng = random.Random(rng_seed)
 
     def draw() -> Fraction:
-        return Fraction(rng.randint(1, numerator_bound), rng.randint(1, denominator_bound))
+        return Fraction(rng.randint(1, 12), rng.randint(1, 4))
 
-    for attempt in range(1, max_attempts + 1):
+    for _ in range(_SAMPLE_ATTEMPTS):
         b1, b2, a11, a12, a21, a22 = (draw() for _ in range(6))
         if s12 is Sign.ZERO:
             a21 = a11 * a22 / a12
@@ -325,7 +328,7 @@ def sample_params(
         params = SystemParams(b1=b1, b2=b2, a11=a11, a12=a12, a21=a21, a22=a22)
         if compute_determinants(params).signs == triple:
             return params
-    raise NotRealizable(triple, max_attempts)
+    raise NotRealizable(triple, _SAMPLE_ATTEMPTS)
 
 
 #: Grid used by :func:`sign_census`; chosen so that every realisable triple
@@ -335,15 +338,13 @@ DEFAULT_CENSUS_GRID: Tuple[Fraction, ...] = (
 )
 
 
-def sign_census(
-    values: Iterable[Fraction] = DEFAULT_CENSUS_GRID,
-) -> Dict[Tuple[Sign, Sign, Sign], SystemParams]:
-    """Exhaustively enumerate a parameter grid and collect realised triples.
+def sign_census() -> Dict[Tuple[Sign, Sign, Sign], SystemParams]:
+    """Exhaustively enumerate ``DEFAULT_CENSUS_GRID`` and collect realised triples.
 
-    Returns one witness parameter set per distinct sign triple.  On the
-    default grid exactly the 13 feasible triples appear.
+    Returns one witness parameter set per distinct sign triple: exactly the
+    13 feasible triples appear.
     """
-    grid = tuple(as_fraction(v) for v in values)
+    grid = DEFAULT_CENSUS_GRID
     witnesses: Dict[Tuple[Sign, Sign, Sign], SystemParams] = {}
     for a11, a12, a21, a22 in itertools.product(grid, repeat=4):
         d12 = a11 * a22 - a12 * a21

@@ -12,7 +12,7 @@ non-isolated equilibria.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .model import SystemParams
@@ -39,17 +39,25 @@ _LEGEND_TEXT = {
 }
 
 
+#: Width and height of the SVG canvas, in pixels.
+_SIZE = 640
+#: Forward trajectories start on a _SEEDS x _SEEDS grid and run for
+#: _TRAJECTORY_HORIZON time units.
+_SEEDS = 4
+_TRAJECTORY_HORIZON = 80.0
+
+
 @dataclass(frozen=True)
 class PortraitSpec:
-    width: int = 640
-    height: int = 640
-    #: (x_max, y_max) of the viewing window; None derives it from the
-    #: nullcline intercepts with a 10% margin.
-    viewport: Optional[Tuple[float, float]] = None
+    """Which scope's verdicts color the equilibria.
+
+    Everything else is fixed: a 640 x 640 canvas (``_SIZE``), a viewing
+    window from the nullcline intercepts with a 10% margin, forward
+    trajectories from a 4 x 4 seed grid (``_SEEDS``) over 80 time units
+    (``_TRAJECTORY_HORIZON``), and the fills of ``DEFAULT_COLORS``.
+    """
+
     scope: Scope = Scope.FIRST_QUADRANT_CLOSED
-    seed_density: int = 4
-    trajectory_horizon: float = 80.0
-    colors: Dict[str, str] = field(default_factory=lambda: dict(DEFAULT_COLORS))
 
 
 def _auto_viewport(params: SystemParams) -> Tuple[float, float]:
@@ -65,21 +73,19 @@ def _fmt(v: float) -> str:
 class _Canvas:
     """World-to-pixel transform plus an element buffer."""
 
-    def __init__(self, spec: PortraitSpec, x_range: Tuple[float, float],
-                 y_range: Tuple[float, float]):
-        self.spec = spec
+    def __init__(self, x_range: Tuple[float, float], y_range: Tuple[float, float]):
         self.x_min, self.x_max = x_range
         self.y_min, self.y_max = y_range
         self.pad = 34.0
         self.elements: List[str] = []
 
     def px(self, x: float) -> float:
-        usable = self.spec.width - 2 * self.pad
+        usable = _SIZE - 2 * self.pad
         return self.pad + (x - self.x_min) / (self.x_max - self.x_min) * usable
 
     def py(self, y: float) -> float:
-        usable = self.spec.height - 2 * self.pad
-        return self.spec.height - self.pad - (y - self.y_min) / (self.y_max - self.y_min) * usable
+        usable = _SIZE - 2 * self.pad
+        return _SIZE - self.pad - (y - self.y_min) / (self.y_max - self.y_min) * usable
 
     def inside(self, x: float, y: float) -> bool:
         return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
@@ -168,15 +174,15 @@ def _draw_axes(canvas: _Canvas) -> None:
     canvas.text(canvas.px(0.0) + 6, canvas.py(canvas.y_max) + 12, "x2")
 
 
-def _draw_trajectories(canvas: _Canvas, params: SystemParams, spec: PortraitSpec) -> None:
+def _draw_trajectories(canvas: _Canvas, params: SystemParams) -> None:
     opts = IntegratorOptions(rel_tol=1e-7, abs_tol=1e-10, conv_tol=1e-7,
                              escape_bound=1e4)
-    n = spec.seed_density
+    n = _SEEDS
     for i in range(n):
         for j in range(n):
             sx = (i + 0.5) / n * canvas.x_max * 0.92
             sy = (j + 0.5) / n * canvas.y_max * 0.92
-            traj = integrate(params, (sx, sy), spec.trajectory_horizon, opts)
+            traj = integrate(params, (sx, sy), _TRAJECTORY_HORIZON, opts)
             pts = [(x, y) for _, x, y in traj.samples if canvas.inside(x, y)]
             if len(pts) < 2:
                 continue
@@ -207,44 +213,44 @@ def _place_arrows(canvas: _Canvas, params: SystemParams, pts: List[Tuple[float, 
 
 
 def _draw_equilibria(canvas: _Canvas, report: ClassificationReport,
-                     spec: PortraitSpec) -> None:
+                     scope: Scope) -> None:
     line = report.line
     if line is not None:
         a, b = line.endpoints()
         canvas.polyline([tuple(map(float, a.position)), tuple(map(float, b.position))],
-                        spec.colors["NI"], "4")
+                        DEFAULT_COLORS["NI"], "4")
     seen_labels = []
     for eq in report.equilibria:
         if not isinstance(eq, Equilibrium):
             continue
-        sc = report.verdict_at(eq.kind, spec.scope)
+        sc = report.verdict_at(eq.kind, scope)
         if sc is None:
             sc = report.verdict_at(eq.kind, Scope.FULL_NEIGHBORHOOD)
         label = sc.verdict.coarse_label
         x, y = eq.float_position
         if canvas.inside(x, y):
-            canvas.circle(x, y, 5, spec.colors[label])
+            canvas.circle(x, y, 5, DEFAULT_COLORS[label])
             if label not in seen_labels:
                 seen_labels.append(label)
     if line is not None:
         for member in line.endpoints():
             x, y = member.float_position
-            canvas.circle(x, y, 5, spec.colors["NI"])
+            canvas.circle(x, y, 5, DEFAULT_COLORS["NI"])
         if "NI" not in seen_labels:
             seen_labels.append("NI")
-    _draw_legend(canvas, spec, seen_labels)
+    _draw_legend(canvas, seen_labels)
 
 
-def _draw_legend(canvas: _Canvas, spec: PortraitSpec, labels: List[str]) -> None:
+def _draw_legend(canvas: _Canvas, labels: List[str]) -> None:
     order = [lbl for lbl in ("AS", "SS", "NI", "U") if lbl in labels]
     if not order:
         return
-    x0 = spec.width - 190.0
+    x0 = _SIZE - 190.0
     y0 = 18.0
     for i, lbl in enumerate(order):
         cy = y0 + 18.0 * i
         canvas.elements.append(
-            f'<circle cx="{_fmt(x0)}" cy="{_fmt(cy)}" r="5" fill="{spec.colors[lbl]}" '
+            f'<circle cx="{_fmt(x0)}" cy="{_fmt(cy)}" r="5" fill="{DEFAULT_COLORS[lbl]}" '
             f'stroke="#222222" stroke-width="1" />'
         )
         canvas.text(x0 + 12, cy + 4, _LEGEND_TEXT[lbl])
@@ -254,13 +260,13 @@ def render_portrait(params: SystemParams, spec: Optional[PortraitSpec] = None) -
     """Render the quadrant phase portrait as an SVG document string."""
     spec = spec or PortraitSpec()
     report = classify(params)
-    x_max, y_max = spec.viewport or _auto_viewport(params)
-    canvas = _Canvas(spec, (-x_max / 20.0, x_max), (-y_max / 20.0, y_max))
+    x_max, y_max = _auto_viewport(params)
+    canvas = _Canvas((-x_max / 20.0, x_max), (-y_max / 20.0, y_max))
 
     _draw_axes(canvas)
     _draw_nullclines(canvas, params)
-    _draw_trajectories(canvas, params, spec)
-    _draw_equilibria(canvas, report, spec)
+    _draw_trajectories(canvas, params)
+    _draw_equilibria(canvas, report, spec.scope)
 
     signs = report.determinants.signs
     title = (f"b = ({params.b1}, {params.b2}), "
@@ -269,9 +275,9 @@ def render_portrait(params: SystemParams, spec: Optional[PortraitSpec] = None) -
              f"{signs[2].glyph})")
     header = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
-        f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" '
+        f'height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}">',
         f"<title>{title}</title>",
-        f'<rect width="{spec.width}" height="{spec.height}" fill="#ffffff" />',
+        f'<rect width="{_SIZE}" height="{_SIZE}" fill="#ffffff" />',
     ]
     return "\n".join(header + canvas.elements + ["</svg>"]) + "\n"

@@ -7,7 +7,11 @@ document byte for byte.  Portrait SVGs are not frozen: their coordinates
 come from floating-point integration and depend on the platform's libm.
 
 To regenerate after an intended output change, run this file as a script
-and paste the printed dictionary over ``GOLDEN``.
+and paste the printed dictionary over ``GOLDEN``.  The script also prints,
+as comment lines, the sha256 of the 18 gallery portraits (both scopes) and
+of the ``verify --gallery all`` report.  Those are never asserted, for the
+libm reason above, but two source trees run on one machine can compare
+them.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
+import tempfile
 from typing import Dict, List, Tuple
 
 import pytest
@@ -141,8 +147,21 @@ def test_cli_output_matches_golden_digest(command, case):
         f"`lvcompete {command}` output changed for {case}"
 
 
+def portrait_digest(params: SystemParams, scope: str) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "portrait.svg")
+        digest(["portrait", "--scope", scope, "--out", out] + system_args(params))
+        with open(out, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+
 if __name__ == "__main__":
     print("GOLDEN = {")
     for (command, case), argv in INVOCATIONS.items():
         print(f'    "{command} {case}": "{digest(argv)}",')
     print("}")
+    print("# Platform-dependent (libm), not asserted; compare on one machine only:")
+    for label, entry in PORTRAIT_GALLERY.items():
+        for scope in ("quadrant", "plane"):
+            print(f"# portrait {label} --scope {scope}: {portrait_digest(entry.params, scope)}")
+    print(f"# verify --gallery all: {digest(['verify', '--gallery', 'all'])}")

@@ -485,6 +485,51 @@ def test_probe_runs_are_deterministic(gallery_params):
     assert first.to_json_dict() == second.to_json_dict()
 
 
+#: Its axis-1 sink is strongly non-normal: some ring probes leave the
+#: escape ball and come back before converging.
+REENTRY_PARAMS = SystemParams.from_pairs((10, 7), ((Fraction(1, 3), 11),
+                                                   (Fraction(1, 4), Fraction(7, 2))))
+
+
+@pytest.mark.parametrize("label", ["case1", "reentry"])
+def test_probe_ball_tracking_sees_every_accepted_step(gallery_params, monkeypatch, label):
+    """max_distance and the exit/re-entry flags must cover every point the
+    stop condition is shown, not only the thinned stored samples."""
+    import lvcompete.dynamics as dynamics
+
+    seen = []
+    original = dynamics.integrate
+
+    def recording_integrate(params, initial, horizon, opts=None):
+        points = []
+        seen.append(points)
+
+        def stop(t, x):
+            points.append(x)
+            return opts.stop_condition(t, x)
+
+        return original(params, initial, horizon, replace(opts, stop_condition=stop))
+
+    monkeypatch.setattr(dynamics, "integrate", recording_integrate)
+    p = REENTRY_PARAMS if label == "reentry" else gallery_params[label]
+    reentries = 0
+    for eq in classify(p).equilibria:
+        seen.clear()
+        emp = empirical_stability(p, eq, ProbeProtocol(probe_count=8))
+        tx, ty = eq.float_position
+        ball = 10.0 * emp.radius
+        assert len(seen) == len(emp.probes) > 0
+        for probe, points in zip(emp.probes, seen):
+            dists = [math.hypot(x1 - tx, x2 - ty) for x1, x2 in points]
+            outside = [d > ball for d in dists]
+            assert probe.max_distance == max(dists)
+            assert probe.exited_ball == any(outside)
+            assert probe.reentered_after_exit == any(
+                before and not after for before, after in zip(outside, outside[1:]))
+            reentries += probe.reentered_after_exit
+    assert (reentries > 0) == (label == "reentry")
+
+
 def test_probe_ring_confirms_interior_saddle(gallery_params):
     p = gallery_params["case8"]
     report = classify(p)

@@ -7,7 +7,8 @@ equilibria.  Scaling every a_ij by c > 0, or all six parameters by k > 0,
 multiplies each determinant by a positive factor.  Neither property
 depends on a frozen table, so both check the classifier, the equilibrium
 finder, the sign-condition predicates and the path scanner against the
-model itself.
+model itself.  The swap also checks the wedge sampler, whose NEAR_AXIS1
+side must be the mirror image of the NEAR_AXIS2 side.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from lvcompete import (
     ParameterPath,
     Sign,
     SystemParams,
+    WedgeSide,
     WhichDeterminant,
     classify,
     compute_determinants,
@@ -33,6 +35,7 @@ from lvcompete import (
     feasible_sign_triples,
     find_equilibria,
     four_case_catalog,
+    nullcline_wedge,
     sample_params,
     scan_path,
     thm_axis1_asymptotically_stable,
@@ -181,6 +184,27 @@ def test_swap_mirrors_path_scans(path):
 @pytest.mark.parametrize("entry", four_case_catalog(), ids=lambda e: e.label)
 def test_swap_mirrors_catalog_scans(entry):
     assert_scans_mirror(entry.path)
+
+
+def wedge_samples(p: SystemParams, side: WedgeSide, radius: Fraction, count: int,
+                  transverse_sign: Sign):
+    """The sampled points, or None when the wedge is empty on that side."""
+    try:
+        return nullcline_wedge(p, side).sample_near(radius, count, transverse_sign)
+    except ValueError as exc:
+        assert side.value in str(exc), "the error must name the requested side"
+        return None
+
+
+@PROFILE
+@given(systems, st.builds(Fraction, st.integers(1, 100), st.integers(1, 10_000)),
+       st.integers(1, 6), st.sampled_from([Sign.POS, Sign.NEG]))
+def test_swap_mirrors_the_wedge_samples(p, radius, count, transverse_sign):
+    points = wedge_samples(p, WedgeSide.NEAR_AXIS1, radius, count, transverse_sign)
+    mirrored = wedge_samples(swap(p), WedgeSide.NEAR_AXIS2, radius, count, transverse_sign)
+    assert (mirrored is None) == (points is None)
+    if points is not None:
+        assert [(x2, x1) for x1, x2 in mirrored] == points
 
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,7 @@ def _verification_targets(params: SystemParams) -> List[Equilibrium]:
 
 
 def _verify_one(params: SystemParams, label: str, scope_name: str, seed: int,
-                probe_count: int, emit) -> bool:
+                probe_count: int, emit, record) -> bool:
     analytic_scope, probe_scope = _SCOPE_BY_NAME[scope_name]
     ok = True
     report = classify(params)
@@ -242,6 +242,8 @@ def _verify_one(params: SystemParams, label: str, scope_name: str, seed: int,
             ok = False
         emit(f"{tag} empirical[{eq.kind.value} @ ({eq.x1}, {eq.x2})]: "
              f"analytic = {verdict.verdict.value}, probes = {emp.verdict.value}")
+        record({"system": label, "analytic": verdict.verdict.value, "agreed": agreed,
+                **emp.to_json_dict()})
     return ok
 
 
@@ -256,13 +258,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         jobs = [("params", _params_from_args(args))]
 
     lines: List[str] = []
+    empirical: List[dict] = []
     all_ok = True
     for label, params in jobs:
         all_ok &= _verify_one(params, label, args.scope, args.seed,
-                              args.probes, lines.append)
+                              args.probes, lines.append, empirical.append)
     lines.append("verification " + ("PASSED" if all_ok else "FAILED"))
     if args.json:
-        _emit_json(args, {"passed": all_ok, "log": lines})
+        _emit_json(args, {"passed": all_ok, "log": lines, "empirical": empirical})
     else:
         _emit(args, "\n".join(lines) + "\n")
     return 0 if all_ok else 3

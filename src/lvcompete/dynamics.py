@@ -3,8 +3,10 @@
 Everything in this module works in floating point and exists to check the
 exact classification from the outside.  The main pieces are
 
-* an embedded Runge-Kutta 4(5) integrator with PI step control that keeps
-  the coordinate axes exactly invariant,
+* an adaptive integrator with PI step control that keeps the coordinate
+  axes exactly invariant: embedded Runge-Kutta-Fehlberg 4(5) by default,
+  switching to the L-stable Rosenbrock method ROS2 while a stiffness test
+  on the exact Jacobian finds the run pinned at RKF45's stability limit,
 * nullcline geometry with per-segment crossing directions,
 * the wedge regions between the oblique nullclines used by the semi-stable
   analysis, with exact membership tests,
@@ -109,11 +111,11 @@ class IntegratorOptions:
     ``conv_tol`` gates the convergence detector (velocity below the
     tolerance *and* total displacement over the trailing 1.0 time units,
     ``_CONV_WINDOW``, below it); set it to 0 to disable detection entirely.
-    ``fixed_step`` disables adaptivity — used by the order-measurement
-    tests.  Otherwise the first step is guessed from the initial speed and
-    steps are never clamped from above.  ``stop_condition`` is checked on
-    the initial point and after every accepted step and ends the run with
-    status STOPPED.
+    ``fixed_step`` disables adaptivity and the switch to ROS2 — used by the
+    order-measurement tests.  Otherwise the first step is guessed from the
+    initial speed and steps are never clamped from above.
+    ``stop_condition`` is checked on the initial point and after every
+    accepted step and ends the run with status STOPPED.
     """
 
     rel_tol: float = 1e-9
@@ -164,6 +166,40 @@ _A61, _A62, _A63, _A64, _A65 = -8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40
 _B1, _B3, _B4, _B5, _B6 = 16 / 135, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55
 _E1, _E3, _E4, _E5, _E6 = 1 / 360, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55
 
+#: ROS2 (Verwer, Spee, Blom & Hundsdorfer, SIAM J. Sci. Comput. 20, 1999):
+#: gamma = 1 + 1/sqrt(2) makes the two-stage linearly implicit method L-stable.
+_ROS2_GAMMA = 1.0 + 1.0 / math.sqrt(2.0)
+
+# Stiffness test (Hairer & Wanner, Solving ODEs II, IV.2) on the exact
+# Jacobian: every _STIFF_CHECK_EVERY accepted adaptive steps, h*rho(J) is
+# compared with RKF45's real stability interval, which is [-3.68, 0].  A
+# check costs about as much as a tenth of a step, so checking every 16
+# steps slowed short runs by about 1%.
+_STIFF_CHECK_EVERY = 32
+#: Switch to ROS2 after h*rho > _STIFF_ENTER at this many consecutive
+#: checks, 256 steps at the limit: a short run that reaches a sink and
+#: stops soon after stays on RKF45, which needs fewer steps there.
+_STIFF_ENTER = 3.0
+_STIFF_CHECKS = 8
+#: Switch back to RKF45 after h*rho < _NONSTIFF_EXIT at this many checks.
+_NONSTIFF_EXIT = 1.0
+_NONSTIFF_CHECKS = 2
+
+
+def _spectral_radius(j11: float, j12: float, j21: float, j22: float) -> float:
+    """Largest eigenvalue modulus of the 2x2 matrix ((j11, j12), (j21, j22))."""
+    half_trace = 0.5 * (j11 + j22)
+    det = j11 * j22 - j12 * j21
+    disc = half_trace * half_trace - det
+    if disc < 0.0:  # complex pair: |lambda|^2 = det
+        return math.sqrt(det)
+    return abs(half_trace) + math.sqrt(disc)
+
+
+def _max_drift(window: deque, x1: float, x2: float) -> float:
+    """Largest sup-norm distance from (x1, x2) to a point of ``window``."""
+    return max(max(abs(x1 - w1), abs(x2 - w2)) for _, w1, w2 in window)
+
 
 def _norm_inf(x: Point) -> float:
     return max(abs(x[0]), abs(x[1]))
@@ -183,9 +219,23 @@ def integrate(
     on a caller-supplied stop condition, or with STEP_FAILURE if the
     controller would need a step below ``min_step_factor * horizon``.
 
-    The stage arithmetic is written out on scalar locals: trajectories
-    crawling along a slow manifold are stability-limited to millions of
-    steps, and this loop is the package's hot spot.
+    The stepper is RKF45 (Fehlberg 4(5), fifth order propagated).  Every
+    32 accepted adaptive steps (``_STIFF_CHECK_EVERY``) the run compares
+    h*rho, with rho the spectral radius of the closed-form Jacobian at the
+    current point, against RKF45's real stability interval [-3.68, 0].  After
+    8 consecutive checks with h*rho > 3 (``_STIFF_CHECKS``,
+    ``_STIFF_ENTER``) the run is stability-limited, and it continues with
+    ROS2, a two-stage linearly implicit L-stable Rosenbrock method
+    (gamma = 1 + 1/sqrt(2)) on the exact Jacobian with a first-order
+    embedded error estimate.  After 2 consecutive checks with h*rho < 1
+    (``_NONSTIFF_CHECKS``, ``_NONSTIFF_EXIT``) it returns to RKF45.  Both
+    steppers share the error scaling, stop condition, escape bound,
+    convergence window and sampling.  On an axis the Jacobian is
+    triangular, so ROS2 keeps the axes exactly invariant too.
+
+    The stage arithmetic is written out on scalar locals, and the RKF45
+    loop carries only a countdown for the stiffness test: the short,
+    non-stiff runs of probes and portraits spend their time there.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -204,22 +254,26 @@ def integrate(
     window: deque = deque([(t, x1, x2)])
     n_accepted = n_rejected = 0
 
-    def finish(status: TerminalStatus, **extra) -> Trajectory:
+    # ``finish`` takes the final state as arguments: a closure over t, x1 and
+    # x2 would turn them into cell variables, which are slower to read in
+    # the stepping loops.
+    def finish(status: TerminalStatus, t: float, x1: float, x2: float,
+               **extra) -> Trajectory:
         if samples[-1][0] != t:
             samples.append((t, x1, x2))
         return Trajectory(samples=samples, terminal_status=status,
                           n_accepted=n_accepted, n_rejected=n_rejected, **extra)
 
     if stop_condition is not None and stop_condition(t, (x1, x2)):
-        return finish(TerminalStatus.STOPPED)
+        return finish(TerminalStatus.STOPPED, t, x1, x2)
     if max(abs(x1), abs(x2)) > escape_bound:
-        return finish(TerminalStatus.LEFT_DOMAIN, terminal_bound=escape_bound)
+        return finish(TerminalStatus.LEFT_DOMAIN, t, x1, x2, terminal_bound=escape_bound)
     # Stage-1 slopes; reused across rejected retries and carried over from
     # the convergence check of the previous accepted step.
     k11 = x1 * (b1 - a11 * x1 - a12 * x2)
     k12 = x2 * (b2 - a21 * x1 - a22 * x2)
     if conv_tol > 0 and max(abs(k11), abs(k12)) <= conv_tol:
-        return finish(TerminalStatus.CONVERGED)
+        return finish(TerminalStatus.CONVERGED, t, x1, x2)
 
     min_step = opts.min_step_factor * horizon
     if fixed is not None:
@@ -230,86 +284,200 @@ def integrate(
         speed = max(abs(k11), abs(k12))
         h = min(horizon * 0.1, 0.01 * (max(abs(x1), abs(x2)) + 1.0) / (speed + 1e-12))
         h = max(h, min_step)
-    err_prev = 1.0
     since_sample = 0
+    check = _STIFF_CHECK_EVERY
 
-    while t < horizon:
-        if h > horizon - t:
-            h = horizon - t
+    while True:
+        # RKF45, the default stepper.  Every _STIFF_CHECK_EVERY accepted
+        # adaptive steps it compares h*rho(J) with its stability limit.
+        streak, err_prev = 0, 1.0
+        while t < horizon:
+            if h > horizon - t:
+                h = horizon - t
 
-        y1 = x1 + h * (_A21 * k11)
-        y2 = x2 + h * (_A21 * k12)
-        k21 = y1 * (b1 - a11 * y1 - a12 * y2)
-        k22 = y2 * (b2 - a21 * y1 - a22 * y2)
-        y1 = x1 + h * (_A31 * k11 + _A32 * k21)
-        y2 = x2 + h * (_A31 * k12 + _A32 * k22)
-        k31 = y1 * (b1 - a11 * y1 - a12 * y2)
-        k32 = y2 * (b2 - a21 * y1 - a22 * y2)
-        y1 = x1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31)
-        y2 = x2 + h * (_A41 * k12 + _A42 * k22 + _A43 * k32)
-        k41 = y1 * (b1 - a11 * y1 - a12 * y2)
-        k42 = y2 * (b2 - a21 * y1 - a22 * y2)
-        y1 = x1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41)
-        y2 = x2 + h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42)
-        k51 = y1 * (b1 - a11 * y1 - a12 * y2)
-        k52 = y2 * (b2 - a21 * y1 - a22 * y2)
-        y1 = x1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41 + _A65 * k51)
-        y2 = x2 + h * (_A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42 + _A65 * k52)
-        k61 = y1 * (b1 - a11 * y1 - a12 * y2)
-        k62 = y2 * (b2 - a21 * y1 - a22 * y2)
+            y1 = x1 + h * (_A21 * k11)
+            y2 = x2 + h * (_A21 * k12)
+            k21 = y1 * (b1 - a11 * y1 - a12 * y2)
+            k22 = y2 * (b2 - a21 * y1 - a22 * y2)
+            y1 = x1 + h * (_A31 * k11 + _A32 * k21)
+            y2 = x2 + h * (_A31 * k12 + _A32 * k22)
+            k31 = y1 * (b1 - a11 * y1 - a12 * y2)
+            k32 = y2 * (b2 - a21 * y1 - a22 * y2)
+            y1 = x1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31)
+            y2 = x2 + h * (_A41 * k12 + _A42 * k22 + _A43 * k32)
+            k41 = y1 * (b1 - a11 * y1 - a12 * y2)
+            k42 = y2 * (b2 - a21 * y1 - a22 * y2)
+            y1 = x1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41)
+            y2 = x2 + h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42)
+            k51 = y1 * (b1 - a11 * y1 - a12 * y2)
+            k52 = y2 * (b2 - a21 * y1 - a22 * y2)
+            y1 = x1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41 + _A65 * k51)
+            y2 = x2 + h * (_A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42 + _A65 * k52)
+            k61 = y1 * (b1 - a11 * y1 - a12 * y2)
+            k62 = y2 * (b2 - a21 * y1 - a22 * y2)
 
-        x1n = x1 + h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61)
-        x2n = x2 + h * (_B1 * k12 + _B3 * k32 + _B4 * k42 + _B5 * k52 + _B6 * k62)
-        e1 = h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61)
-        e2 = h * (_E1 * k12 + _E3 * k32 + _E4 * k42 + _E5 * k52 + _E6 * k62)
+            x1n = x1 + h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61)
+            x2n = x2 + h * (_B1 * k12 + _B3 * k32 + _B4 * k42 + _B5 * k52 + _B6 * k62)
+            e1 = h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61)
+            e2 = h * (_E1 * k12 + _E3 * k32 + _E4 * k42 + _E5 * k52 + _E6 * k62)
 
-        a1 = abs(x1n)
-        v = abs(x1)
-        sc1 = abs_tol + rel_tol * (a1 if a1 > v else v)
-        a2 = abs(x2n)
-        v = abs(x2)
-        sc2 = abs_tol + rel_tol * (a2 if a2 > v else v)
-        q1 = e1 / sc1
-        q2 = e2 / sc2
-        err = math.sqrt(0.5 * (q1 * q1 + q2 * q2))
+            a1 = abs(x1n)
+            v = abs(x1)
+            sc1 = abs_tol + rel_tol * (a1 if a1 > v else v)
+            a2 = abs(x2n)
+            v = abs(x2)
+            sc2 = abs_tol + rel_tol * (a2 if a2 > v else v)
+            q1 = e1 / sc1
+            q2 = e2 / sc2
+            err = math.sqrt(0.5 * (q1 * q1 + q2 * q2))
 
-        if fixed is None and not err <= 1.0:  # catches NaN as well
-            n_rejected += 1
-            h *= max(0.1, 0.9 * err ** -0.2) if err <= 1e12 else 0.1
-            if h < min_step:
-                return finish(TerminalStatus.STEP_FAILURE)
-            continue
+            if fixed is None and not err <= 1.0:  # catches NaN as well
+                n_rejected += 1
+                h *= max(0.1, 0.9 * err ** -0.2) if err <= 1e12 else 0.1
+                if h < min_step:
+                    return finish(TerminalStatus.STEP_FAILURE, t, x1, x2)
+                continue
 
-        t += h
-        x1, x2 = x1n, x2n
-        n_accepted += 1
-        since_sample += 1
-        if since_sample >= sample_every:
-            samples.append((t, x1, x2))
-            since_sample = 0
+            t += h
+            x1, x2 = x1n, x2n
+            n_accepted += 1
+            since_sample += 1
+            if since_sample >= sample_every:
+                samples.append((t, x1, x2))
+                since_sample = 0
 
-        if stop_condition is not None and stop_condition(t, (x1, x2)):
-            return finish(TerminalStatus.STOPPED)
-        if not (abs(x1) <= escape_bound and abs(x2) <= escape_bound):
-            # non-finite coordinates land here too
-            return finish(TerminalStatus.LEFT_DOMAIN, terminal_bound=escape_bound)
+            if stop_condition is not None and stop_condition(t, (x1, x2)):
+                return finish(TerminalStatus.STOPPED, t, x1, x2)
+            if not (abs(x1) <= escape_bound and abs(x2) <= escape_bound):
+                # non-finite coordinates land here too
+                return finish(TerminalStatus.LEFT_DOMAIN, t, x1, x2,
+                              terminal_bound=escape_bound)
 
-        # Next step's stage-1 slopes, doubling as the convergence velocity.
-        k11 = x1 * (b1 - a11 * x1 - a12 * x2)
-        k12 = x2 * (b2 - a21 * x1 - a22 * x2)
-        if conv_tol > 0:
-            window.append((t, x1, x2))
-            while len(window) >= 2 and window[1][0] <= t - _CONV_WINDOW:
-                window.popleft()
-            if (max(abs(k11), abs(k12)) <= conv_tol
-                    and window[0][0] <= t - _CONV_WINDOW):
-                drift = max(max(abs(x1 - w1), abs(x2 - w2)) for _, w1, w2 in window)
-                if drift <= conv_tol:
-                    return finish(TerminalStatus.CONVERGED)
+            # Next step's stage-1 slopes, doubling as the convergence velocity.
+            k11 = x1 * (b1 - a11 * x1 - a12 * x2)
+            k12 = x2 * (b2 - a21 * x1 - a22 * x2)
+            if conv_tol > 0:
+                window.append((t, x1, x2))
+                while len(window) >= 2 and window[1][0] <= t - _CONV_WINDOW:
+                    window.popleft()
+                if (max(abs(k11), abs(k12)) <= conv_tol
+                        and window[0][0] <= t - _CONV_WINDOW):
+                    if _max_drift(window, x1, x2) <= conv_tol:
+                        return finish(TerminalStatus.CONVERGED, t, x1, x2)
 
-        if fixed is None:
+            if fixed is None:
+                check -= 1
+                if not check:
+                    check = _STIFF_CHECK_EVERY
+                    j11 = b1 - 2.0 * a11 * x1 - a12 * x2
+                    j22 = b2 - a21 * x1 - 2.0 * a22 * x2
+                    if h * _spectral_radius(j11, -a12 * x1, -a21 * x2, j22) > _STIFF_ENTER:
+                        streak += 1
+                        if streak == _STIFF_CHECKS:
+                            break
+                    else:
+                        streak = 0
+                e = err if err > 1e-10 else 1e-10
+                fac = 0.9 * e ** -0.14 * err_prev ** 0.08
+                if fac > 5.0:
+                    fac = 5.0
+                elif fac < 0.2:
+                    fac = 0.2
+                h *= fac
+                err_prev = e
+                if h < min_step and t < horizon:
+                    return finish(TerminalStatus.STEP_FAILURE, t, x1, x2)
+        else:
+            break
+
+        # Stiff: the step has sat at RKF45's stability limit.  ROS2 carries
+        # on from the same point and step until h*rho falls well below it.
+        streak, err_prev = 0, 1.0
+        while t < horizon:
+            if h > horizon - t:
+                h = horizon - t
+            # Stage matrix M = I - gamma*h*J on the exact Jacobian J at x.  On
+            # an axis J is triangular, so Cramer's rule gives the zero
+            # coordinate stage increments of exactly 0.0.
+            j11 = b1 - 2.0 * a11 * x1 - a12 * x2
+            j12 = -a12 * x1
+            j21 = -a21 * x2
+            j22 = b2 - a21 * x1 - 2.0 * a22 * x2
+            g = _ROS2_GAMMA * h
+            m11 = 1.0 - g * j11
+            m12 = -g * j12
+            m21 = -g * j21
+            m22 = 1.0 - g * j22
+            det = m11 * m22 - m12 * m21
+            if not det:
+                det = math.nan  # singular stage matrix: the step is rejected
+            s1 = (k11 * m22 - m12 * k12) / det
+            s2 = (m11 * k12 - m21 * k11) / det
+            y1 = x1 + h * s1
+            y2 = x2 + h * s2
+            r1 = y1 * (b1 - a11 * y1 - a12 * y2) - 2.0 * s1
+            r2 = y2 * (b2 - a21 * y1 - a22 * y2) - 2.0 * s2
+            u1 = (r1 * m22 - m12 * r2) / det
+            u2 = (m11 * r2 - m21 * r1) / det
+            x1n = x1 + h * (1.5 * s1 + 0.5 * u1)
+            x2n = x2 + h * (1.5 * s2 + 0.5 * u2)
+            # Against the embedded first-order solution x + h*s.
+            e1 = 0.5 * h * (s1 + u1)
+            e2 = 0.5 * h * (s2 + u2)
+
+            a1 = abs(x1n)
+            v = abs(x1)
+            sc1 = abs_tol + rel_tol * (a1 if a1 > v else v)
+            a2 = abs(x2n)
+            v = abs(x2)
+            sc2 = abs_tol + rel_tol * (a2 if a2 > v else v)
+            q1 = e1 / sc1
+            q2 = e2 / sc2
+            err = math.sqrt(0.5 * (q1 * q1 + q2 * q2))
+
+            if not err <= 1.0:  # catches NaN as well
+                n_rejected += 1
+                h *= max(0.1, 0.9 * err ** -0.5) if err <= 1e12 else 0.1
+                if h < min_step:
+                    return finish(TerminalStatus.STEP_FAILURE, t, x1, x2)
+                continue
+
+            t += h
+            x1, x2 = x1n, x2n
+            n_accepted += 1
+            since_sample += 1
+            if since_sample >= sample_every:
+                samples.append((t, x1, x2))
+                since_sample = 0
+
+            if stop_condition is not None and stop_condition(t, (x1, x2)):
+                return finish(TerminalStatus.STOPPED, t, x1, x2)
+            if not (abs(x1) <= escape_bound and abs(x2) <= escape_bound):
+                return finish(TerminalStatus.LEFT_DOMAIN, t, x1, x2,
+                              terminal_bound=escape_bound)
+
+            k11 = x1 * (b1 - a11 * x1 - a12 * x2)
+            k12 = x2 * (b2 - a21 * x1 - a22 * x2)
+            if conv_tol > 0:
+                window.append((t, x1, x2))
+                while len(window) >= 2 and window[1][0] <= t - _CONV_WINDOW:
+                    window.popleft()
+                if (max(abs(k11), abs(k12)) <= conv_tol
+                        and window[0][0] <= t - _CONV_WINDOW):
+                    if _max_drift(window, x1, x2) <= conv_tol:
+                        return finish(TerminalStatus.CONVERGED, t, x1, x2)
+
+            check -= 1
+            if not check:
+                check = _STIFF_CHECK_EVERY
+                if h * _spectral_radius(j11, j12, j21, j22) < _NONSTIFF_EXIT:
+                    streak += 1
+                    if streak == _NONSTIFF_CHECKS:
+                        break
+                else:
+                    streak = 0
             e = err if err > 1e-10 else 1e-10
-            fac = 0.9 * e ** -0.14 * err_prev ** 0.08
+            fac = 0.9 * e ** -0.35 * err_prev ** 0.2
             if fac > 5.0:
                 fac = 5.0
             elif fac < 0.2:
@@ -317,9 +485,11 @@ def integrate(
             h *= fac
             err_prev = e
             if h < min_step and t < horizon:
-                return finish(TerminalStatus.STEP_FAILURE)
+                return finish(TerminalStatus.STEP_FAILURE, t, x1, x2)
+        else:
+            break
 
-    return finish(TerminalStatus.REACHED_HORIZON)
+    return finish(TerminalStatus.REACHED_HORIZON, t, x1, x2)
 
 
 # ---------------------------------------------------------------------------
@@ -770,6 +940,9 @@ class ProbeResult:
     max_distance: float
     exited_ball: bool
     reentered_after_exit: bool
+    #: Accepted and rejected integrator steps of the probe run.
+    n_accepted: int
+    n_rejected: int
 
     @property
     def started_in_quadrant(self) -> bool:
@@ -785,6 +958,8 @@ class ProbeResult:
             "final_point": list(self.final_point),
             "final_distance": self.final_distance,
             "max_distance": self.max_distance,
+            "n_accepted": self.n_accepted,
+            "n_rejected": self.n_rejected,
         }
 
 
@@ -992,6 +1167,7 @@ def empirical_stability(
             status=traj.terminal_status, final_point=traj.final_point,
             final_distance=final_dist, max_distance=max_dist,
             exited_ball=exited, reentered_after_exit=reentered,
+            n_accepted=traj.n_accepted, n_rejected=traj.n_rejected,
         )
 
     results = [run_probe(*entry) for entry in starts]

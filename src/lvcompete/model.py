@@ -141,7 +141,9 @@ class DeterminantTriple:
 
     @property
     def signs(self) -> Tuple[Sign, Sign, Sign]:
-        return (sign_of(self.d12), sign_of(self.d112), sign_of(self.d122))
+        # A Fraction's numerator carries its sign; comparing ints is cheaper.
+        return (sign_of(self.d12.numerator), sign_of(self.d112.numerator),
+                sign_of(self.d122.numerator))
 
     def to_json_dict(self) -> dict:
         return {"d12": str(self.d12), "d112": str(self.d112), "d122": str(self.d122)}
@@ -153,10 +155,19 @@ def compute_determinants(params: SystemParams) -> DeterminantTriple:
     ``d122`` carries the sign convention that makes the interior equilibrium
     come out as ``(-d122/d12, d112/d12)``.
     """
-    d12 = params.a11 * params.a22 - params.a12 * params.a21
-    d112 = params.a11 * params.b2 - params.a21 * params.b1
-    d122 = params.a12 * params.b2 - params.a22 * params.b1
-    return DeterminantTriple(d12=d12, d112=d112, d122=d122)
+    p = params
+    return DeterminantTriple(d12=_minor(p.a11, p.a22, p.a12, p.a21),
+                             d112=_minor(p.a11, p.b2, p.a21, p.b1),
+                             d122=_minor(p.a12, p.b2, p.a22, p.b1))
+
+
+def _minor(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Fraction:
+    """``a*b - c*d`` by integer cross-multiplication, normalised once."""
+    na, da = a.numerator, a.denominator
+    nb, db = b.numerator, b.denominator
+    nc, dc = c.numerator, c.denominator
+    nd, dd = d.numerator, d.denominator
+    return Fraction(na * nb * dc * dd - nc * nd * da * db, da * db * dc * dd)
 
 
 def rhs_exact(params: SystemParams, x1: Fraction, x2: Fraction) -> Tuple[Fraction, Fraction]:
@@ -258,6 +269,10 @@ def sign_case(
         triple = tuple(Sign(s) for s in source)  # type: ignore[assignment]
         if len(triple) != 3:
             raise ValueError("expected a triple of signs")
+    return _SIGN_CASES[triple]
+
+
+def _build_sign_case(triple: Tuple[Sign, Sign, Sign]) -> SignCase:
     serial = _SERIAL_BY_TRIPLE.get(triple)
     if serial is not None:
         return SignCase(triple=triple, feasible=True, table6_serial=serial)
@@ -265,10 +280,16 @@ def sign_case(
                     contradiction=_contradiction_for(triple))
 
 
+#: All 27 verdicts, built once; ``SignCase`` is frozen, so they are shared.
+_SIGN_CASES: Dict[Tuple[Sign, Sign, Sign], SignCase] = {
+    t: _build_sign_case(t)
+    for t in itertools.product((Sign.POS, Sign.ZERO, Sign.NEG), repeat=3)
+}
+
+
 def all_sign_cases() -> Tuple[SignCase, ...]:
     """All 27 triples, classified."""
-    signs = (Sign.POS, Sign.ZERO, Sign.NEG)
-    return tuple(sign_case(t) for t in itertools.product(signs, repeat=3))
+    return tuple(_SIGN_CASES.values())
 
 
 def feasible_sign_triples() -> Tuple[Tuple[Sign, Sign, Sign], ...]:

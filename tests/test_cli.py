@@ -154,6 +154,24 @@ def test_verify_gallery_case_passes(capsys):
     assert "PASS criteria check" in out
 
 
+def test_verify_json_records_every_probe_with_its_step_counts(capsys):
+    """The end points of this system's line of equilibria have eigenvalues
+    (0, -12); probes that settle at such a stiff sink used to run for
+    minutes to hours at RKF45's stability limit."""
+    for scope in ("quadrant", "plane"):
+        code, out, _ = run(capsys, "verify", "--b", "3,12", "--a", "2,2,8,8",
+                           "--scope", scope, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["passed"] and doc["log"][-1] == "verification PASSED"
+        assert len(doc["empirical"]) == 4  # origin, both line ends, midpoint
+        for record in doc["empirical"]:
+            assert record["system"] == "params" and record["agreed"]
+            assert record["probes"]
+            for probe in record["probes"]:
+                assert probe["n_accepted"] > 0 and probe["n_rejected"] >= 0
+
+
 def test_verify_unknown_gallery_label(capsys):
     code, _, err = run(capsys, "verify", "--gallery", "case42")
     assert code == 2

@@ -156,19 +156,29 @@ def test_stop_condition_checked_before_stepping(gallery_params):
 # integrate: invariance
 
 
-@pytest.mark.parametrize("start,expected_limit", [
-    ((0.0, 3.7), (0.0, 2.0)),
-    ((0.0, 0.4), (0.0, 2.0)),
-    ((2.6, 0.0), (3.0, 0.0)),
+@pytest.mark.parametrize("label,start,expected_limit,conv_tol", [
+    pytest.param("case1", (0.0, 3.7), (0.0, 2.0), 1e-9, id="start0-expected_limit0"),
+    pytest.param("case1", (0.0, 0.4), (0.0, 2.0), 1e-9, id="start1-expected_limit1"),
+    pytest.param("case1", (2.6, 0.0), (3.0, 0.0), 1e-9, id="start2-expected_limit2"),
+    # Stiff: with convergence detection off, the run sits at case2's axis-2
+    # equilibrium, where the eigenvalue -4 pins RKF45 at its stability limit
+    # until ROS2 takes over.
+    pytest.param("case2", (0.0, 2.001), (0.0, 2.0), 0.0, id="stiff-case2-axis2"),
 ])
-def test_axes_are_exactly_invariant(gallery_params, start, expected_limit):
+def test_axes_are_exactly_invariant(gallery_params, label, start, expected_limit, conv_tol):
     """A coordinate that starts at 0.0 must stay at 0.0 bitwise: the factored
-    right-hand side guarantees it, and the single-species limit confirms the
-    run still goes somewhere sensible."""
-    traj = integrate(gallery_params["case1"], start, 200.0)
+    right-hand side guarantees it for RKF45, the triangular Jacobian on the
+    axis for ROS2, and the single-species limit confirms the run still goes
+    somewhere sensible."""
+    traj = integrate(gallery_params[label], start, 1e4, IntegratorOptions(conv_tol=conv_tol))
     frozen_index = 0 if start[0] == 0.0 else 1
     assert all(s[1 + frozen_index] == 0.0 for s in traj.samples)
-    assert traj.terminal_status is TerminalStatus.CONVERGED
+    if conv_tol:
+        assert traj.terminal_status is TerminalStatus.CONVERGED
+    else:
+        assert traj.terminal_status is TerminalStatus.REACHED_HORIZON
+        # RKF45 alone needs 1e4 * 4 / 3.68 > 10,000 steps to get here.
+        assert traj.n_accepted < 1000
     assert math.hypot(traj.final_point[0] - expected_limit[0],
                       traj.final_point[1] - expected_limit[1]) < 1e-6
 
@@ -188,6 +198,73 @@ def test_open_quadrant_is_forward_invariant(params, x1, x2):
     # tolerance once it falls below it; anything past -1e-9 is a real leak.
     traj = integrate(params, (x1, x2), 20.0)
     assert all(s[1] >= -1e-9 and s[2] >= -1e-9 for s in traj.samples)
+
+
+# ---------------------------------------------------------------------------
+# integrate: stiff runs
+
+#: The integrator settings of a probe run, with the velocity detector on.
+PROBE_OPTIONS = IntegratorOptions(rel_tol=1e-8, abs_tol=1e-11, conv_tol=1e-9)
+
+
+@pytest.mark.parametrize("b,a,start,horizon", [
+    # The line-endpoint target of `verify --b 3,12 --a 2,2,8,8`.
+    pytest.param((3, 12), ((2, 2), (8, 8)), (1e-3, 1.501), 1e3, id="line-endpoint"),
+    pytest.param((Fraction(11, 3), 12),
+                 ((6, Fraction(4, 3)), (Fraction(5, 4), Fraction(11, 2))),
+                 (0.62, 0.001), 1e4, id="interior-sink"),
+])
+def test_runs_that_reach_a_stiff_sink_converge(b, a, start, horizon):
+    """At RKF45's stability limit the step jitter keeps the speed above the
+    detector's 1e-9, so these runs used to reach the horizon (3,280 and
+    32,461 steps); ROS2 lets them settle and stop."""
+    params = SystemParams.from_pairs(b, a)
+    traj = integrate(params, start, horizon, PROBE_OPTIONS)
+    assert traj.terminal_status is TerminalStatus.CONVERGED
+    assert traj.n_accepted < 1000
+    assert max(abs(v) for v in vector_field(params, traj.final_point)) <= 1e-9
+
+
+def test_stiff_probe_run_matches_a_radau_reference(gallery_params):
+    """A quadrant-side probe of case2's semi-stable axis-2 equilibrium crawls
+    along the centre manifold, most of the way on the ROS2 path; scipy's
+    Radau IIA at rtol 1e-10 is the reference for its states."""
+    from scipy.integrate import solve_ivp
+
+    p = gallery_params["case2"]
+    b1, b2, a11, a12, a21, a22 = p.as_float_tuple()
+    start = (2e-3 * math.cos(math.pi / 8), 2.0 + 2e-3 * math.sin(math.pi / 8))
+    times = [1e1, 1e2, 1e3, 1e4, 1e5]
+    ref = solve_ivp(
+        lambda t, x: [x[0] * (b1 - a11 * x[0] - a12 * x[1]),
+                      x[1] * (b2 - a21 * x[0] - a22 * x[1])],
+        (0.0, times[-1]), start, method="Radau", rtol=1e-10, atol=1e-14, t_eval=times,
+        jac=lambda t, x: [[b1 - 2 * a11 * x[0] - a12 * x[1], -a12 * x[0]],
+                          [-a21 * x[1], b2 - a21 * x[0] - 2 * a22 * x[1]]])
+    assert ref.success
+    options = replace(PROBE_OPTIONS, conv_tol=0.0)
+    for i, horizon in enumerate(times):
+        traj = integrate(p, start, horizon, options)
+        assert traj.terminal_status is TerminalStatus.REACHED_HORIZON
+        assert traj.final_point == pytest.approx(tuple(ref.y[:, i]), rel=1e-7, abs=1e-10), horizon
+
+
+def test_slow_manifold_probes_stay_under_a_step_ceiling(gallery_params):
+    """The full-plane probes of the four zero-eigenvalue axis equilibria
+    took 7.44 M accepted RKF45 steps at the stability limit; the switch to
+    ROS2 brings them to about 0.15 M.  The ceiling keeps it switched on."""
+    total = 0
+    for label in ("case4", "case7", "case6", "case2"):
+        p = gallery_params[label]
+        eq = next(e for e in classify(p).equilibria
+                  if isinstance(e, Equilibrium)
+                  and e.kind in (EquilibriumKind.AXIS1, EquilibriumKind.AXIS2)
+                  and Sign.ZERO in e.eigenvalues.realpart_signs)
+        emp = empirical_stability(p, eq, ProbeProtocol(probe_count=4,
+                                                       scope=ProbeScope.FULL_PLANE))
+        assert emp.verdict is not EmpiricalVerdictKind.INCONCLUSIVE, label
+        total += sum(probe.n_accepted for probe in emp.probes)
+    assert total < 500_000
 
 
 # ---------------------------------------------------------------------------

@@ -335,10 +335,16 @@ def _sign_at_root(poly: QuadraticPoly, root: PathRoot) -> Sign:
     s_lo, s_hi = sign_of(poly(lo)), sign_of(poly(hi))
     if s_lo is s_hi:
         return s_lo
-    # The bracket straddles a root of the *other* polynomial as well; shave
-    # the bracket until the spectator's sign stabilizes.
+    # The bracket straddles a root of the *other* polynomial as well; halve
+    # the bracket around this root until the spectator's sign stabilizes.
+    # An irrational root makes ``root.poly`` nonzero at every midpoint.
+    s_root = sign_of(root.poly(lo))
     for _ in range(80):
-        lo, hi = _bisect(root.poly, lo, hi, (hi - lo) / 4)
+        mid = (lo + hi) / 2
+        if sign_of(root.poly(mid)) is s_root:
+            lo = mid
+        else:
+            hi = mid
         s_lo, s_hi = sign_of(poly(lo)), sign_of(poly(hi))
         if s_lo is s_hi:
             return s_lo

@@ -365,7 +365,8 @@ def thm_interior_class(triple: DeterminantTriple) -> Optional[StabilityClass]:
 
 @dataclass(frozen=True)
 class ConsistencyVerdict:
-    params: SystemParams
+    #: The report the predicates were checked against.
+    report: ClassificationReport
     disagreements: List[str] = field(default_factory=list)
 
     @property
@@ -418,4 +419,4 @@ def cross_check_theorems(params: SystemParams) -> ConsistencyVerdict:
                   is_asymptotically_stable(actual_e12))
             check("interior unstable", is_unstable(predicted_e12), is_unstable(actual_e12))
 
-    return ConsistencyVerdict(params=params, disagreements=problems)
+    return ConsistencyVerdict(report=report, disagreements=problems)

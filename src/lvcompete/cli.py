@@ -201,11 +201,10 @@ def _verify_one(params: SystemParams, label: str, scope_name: str, seed: int,
                 probe_count: int, emit, record) -> bool:
     analytic_scope, probe_scope = _SCOPE_BY_NAME[scope_name]
     ok = True
-    report = classify(params)
+    cross = cross_check_theorems(params)
+    report = cross.report
     emit(f"== {label}: {params} (serial {report.sign_case.table6_serial}, "
          f"scope {scope_name})")
-
-    cross = cross_check_theorems(params)
     if cross.ok:
         emit("PASS criteria check: closed-form stability criteria agree with eigenvalues")
     else:

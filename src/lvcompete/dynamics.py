@@ -4,9 +4,10 @@ Everything in this module works in floating point and exists to check the
 exact classification from the outside.  The main pieces are
 
 * an adaptive integrator with PI step control that keeps the coordinate
-  axes exactly invariant: embedded Runge-Kutta-Fehlberg 4(5) by default,
-  switching to the L-stable Rosenbrock method ROS2 while a stiffness test
-  on the exact Jacobian finds the run pinned at RKF45's stability limit,
+  axes exactly invariant: one stepping loop runs embedded
+  Runge-Kutta-Fehlberg 4(5) by default and the L-stable Rosenbrock method
+  ROS2 while a stiffness test on the exact Jacobian finds the run pinned at
+  RKF45's stability limit,
 * nullcline geometry with per-segment crossing directions,
 * the wedge regions between the oblique nullclines used by the semi-stable
   analysis, with exact membership tests,
@@ -184,6 +185,10 @@ _STIFF_CHECKS = 8
 #: Switch back to RKF45 after h*rho < _NONSTIFF_EXIT at this many checks.
 _NONSTIFF_EXIT = 1.0
 _NONSTIFF_CHECKS = 2
+#: What changes with the stepper: the reject exponent, the PI controller's
+#: exponents on this and the previous error, and the checks to switch out.
+_RKF45_CONTROL = (-0.2, -0.14, 0.08, _STIFF_CHECKS)
+_ROS2_CONTROL = (-0.5, -0.35, 0.2, _NONSTIFF_CHECKS)
 
 
 def _spectral_radius(j11: float, j12: float, j21: float, j22: float) -> float:
@@ -221,21 +226,22 @@ def integrate(
 
     The stepper is RKF45 (Fehlberg 4(5), fifth order propagated).  Every
     32 accepted adaptive steps (``_STIFF_CHECK_EVERY``) the run compares
-    h*rho, with rho the spectral radius of the closed-form Jacobian at the
-    current point, against RKF45's real stability interval [-3.68, 0].  After
-    8 consecutive checks with h*rho > 3 (``_STIFF_CHECKS``,
-    ``_STIFF_ENTER``) the run is stability-limited, and it continues with
-    ROS2, a two-stage linearly implicit L-stable Rosenbrock method
+    h*rho, with rho the spectral radius of the closed-form Jacobian, against
+    RKF45's real stability interval [-3.68, 0].  After 8 consecutive checks
+    with h*rho > 3 (``_STIFF_CHECKS``, ``_STIFF_ENTER``) at the newly
+    accepted point the run is stability-limited, and it continues with ROS2,
+    a two-stage linearly implicit L-stable Rosenbrock method
     (gamma = 1 + 1/sqrt(2)) on the exact Jacobian with a first-order
     embedded error estimate.  After 2 consecutive checks with h*rho < 1
-    (``_NONSTIFF_CHECKS``, ``_NONSTIFF_EXIT``) it returns to RKF45.  Both
-    steppers share the error scaling, stop condition, escape bound,
-    convergence window and sampling.  On an axis the Jacobian is
-    triangular, so ROS2 keeps the axes exactly invariant too.
+    (``_NONSTIFF_CHECKS``, ``_NONSTIFF_EXIT``), each on the Jacobian that
+    ROS2 built at the start of the step just taken, it returns to RKF45.
+    On an axis the Jacobian is triangular, so ROS2 keeps the axes exactly
+    invariant too.
 
-    The stage arithmetic is written out on scalar locals, and the RKF45
-    loop carries only a countdown for the stiffness test: the short,
-    non-stiff runs of probes and portraits spend their time there.
+    One loop on scalar locals serves both steppers: a ``stiff`` flag picks
+    the stage block, and all that follows is shared.  Only the reject and
+    controller exponents and the switch count change with the stepper
+    (``_RKF45_CONTROL``, ``_ROS2_CONTROL``); a switching step keeps its h.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -256,7 +262,7 @@ def integrate(
 
     # ``finish`` takes the final state as arguments: a closure over t, x1 and
     # x2 would turn them into cell variables, which are slower to read in
-    # the stepping loops.
+    # the stepping loop.
     def finish(status: TerminalStatus, t: float, x1: float, x2: float,
                **extra) -> Trajectory:
         if samples[-1][0] != t:
@@ -286,15 +292,47 @@ def integrate(
         h = max(h, min_step)
     since_sample = 0
     check = _STIFF_CHECK_EVERY
+    # The stepper in use, what changes with it, and how many stiffness
+    # checks in a row have pointed to the other one.
+    stiff = False
+    reject_exp, ctrl_exp, prev_exp, switch_after = _RKF45_CONTROL
+    streak, err_prev = 0, 1.0
 
-    while True:
-        # RKF45, the default stepper.  Every _STIFF_CHECK_EVERY accepted
-        # adaptive steps it compares h*rho(J) with its stability limit.
-        streak, err_prev = 0, 1.0
-        while t < horizon:
-            if h > horizon - t:
-                h = horizon - t
+    while t < horizon:
+        if h > horizon - t:
+            h = horizon - t
 
+        if stiff:
+            # ROS2.  Stage matrix M = I - gamma*h*J on the exact Jacobian J
+            # at x.  On an axis J is triangular, so Cramer's rule gives the
+            # zero coordinate stage increments of exactly 0.0.
+            j11 = b1 - 2.0 * a11 * x1 - a12 * x2
+            j12 = -a12 * x1
+            j21 = -a21 * x2
+            j22 = b2 - a21 * x1 - 2.0 * a22 * x2
+            g = _ROS2_GAMMA * h
+            m11 = 1.0 - g * j11
+            m12 = -g * j12
+            m21 = -g * j21
+            m22 = 1.0 - g * j22
+            det = m11 * m22 - m12 * m21
+            if not det:
+                det = math.nan  # singular stage matrix: the step is rejected
+            s1 = (k11 * m22 - m12 * k12) / det
+            s2 = (m11 * k12 - m21 * k11) / det
+            y1 = x1 + h * s1
+            y2 = x2 + h * s2
+            r1 = y1 * (b1 - a11 * y1 - a12 * y2) - 2.0 * s1
+            r2 = y2 * (b2 - a21 * y1 - a22 * y2) - 2.0 * s2
+            u1 = (r1 * m22 - m12 * r2) / det
+            u2 = (m11 * r2 - m21 * r1) / det
+            x1n = x1 + h * (1.5 * s1 + 0.5 * u1)
+            x2n = x2 + h * (1.5 * s2 + 0.5 * u2)
+            # Against the embedded first-order solution x + h*s.
+            e1 = 0.5 * h * (s1 + u1)
+            e2 = 0.5 * h * (s2 + u2)
+        else:
+            # RKF45, the default stepper.
             y1 = x1 + h * (_A21 * k11)
             y2 = x2 + h * (_A21 * k12)
             k21 = y1 * (b1 - a11 * y1 - a12 * y2)
@@ -321,163 +359,73 @@ def integrate(
             e1 = h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61)
             e2 = h * (_E1 * k12 + _E3 * k32 + _E4 * k42 + _E5 * k52 + _E6 * k62)
 
-            a1 = abs(x1n)
-            v = abs(x1)
-            sc1 = abs_tol + rel_tol * (a1 if a1 > v else v)
-            a2 = abs(x2n)
-            v = abs(x2)
-            sc2 = abs_tol + rel_tol * (a2 if a2 > v else v)
-            q1 = e1 / sc1
-            q2 = e2 / sc2
-            err = math.sqrt(0.5 * (q1 * q1 + q2 * q2))
+        a1 = abs(x1n)
+        v = abs(x1)
+        sc1 = abs_tol + rel_tol * (a1 if a1 > v else v)
+        a2 = abs(x2n)
+        v = abs(x2)
+        sc2 = abs_tol + rel_tol * (a2 if a2 > v else v)
+        q1 = e1 / sc1
+        q2 = e2 / sc2
+        err = math.sqrt(0.5 * (q1 * q1 + q2 * q2))
 
-            if fixed is None and not err <= 1.0:  # catches NaN as well
-                n_rejected += 1
-                h *= max(0.1, 0.9 * err ** -0.2) if err <= 1e12 else 0.1
-                if h < min_step:
-                    return finish(TerminalStatus.STEP_FAILURE, t, x1, x2)
-                continue
+        if fixed is None and not err <= 1.0:  # catches NaN as well
+            n_rejected += 1
+            h *= max(0.1, 0.9 * err ** reject_exp) if err <= 1e12 else 0.1
+            if h < min_step:
+                return finish(TerminalStatus.STEP_FAILURE, t, x1, x2)
+            continue
 
-            t += h
-            x1, x2 = x1n, x2n
-            n_accepted += 1
-            since_sample += 1
-            if since_sample >= sample_every:
-                samples.append((t, x1, x2))
-                since_sample = 0
+        t += h
+        x1, x2 = x1n, x2n
+        n_accepted += 1
+        since_sample += 1
+        if since_sample >= sample_every:
+            samples.append((t, x1, x2))
+            since_sample = 0
 
-            if stop_condition is not None and stop_condition(t, (x1, x2)):
-                return finish(TerminalStatus.STOPPED, t, x1, x2)
-            if not (abs(x1) <= escape_bound and abs(x2) <= escape_bound):
-                # non-finite coordinates land here too
-                return finish(TerminalStatus.LEFT_DOMAIN, t, x1, x2,
-                              terminal_bound=escape_bound)
+        if stop_condition is not None and stop_condition(t, (x1, x2)):
+            return finish(TerminalStatus.STOPPED, t, x1, x2)
+        if not (abs(x1) <= escape_bound and abs(x2) <= escape_bound):
+            # non-finite coordinates land here too
+            return finish(TerminalStatus.LEFT_DOMAIN, t, x1, x2,
+                          terminal_bound=escape_bound)
 
-            # Next step's stage-1 slopes, doubling as the convergence velocity.
-            k11 = x1 * (b1 - a11 * x1 - a12 * x2)
-            k12 = x2 * (b2 - a21 * x1 - a22 * x2)
-            if conv_tol > 0:
-                window.append((t, x1, x2))
-                while len(window) >= 2 and window[1][0] <= t - _CONV_WINDOW:
-                    window.popleft()
-                if (max(abs(k11), abs(k12)) <= conv_tol
-                        and window[0][0] <= t - _CONV_WINDOW):
-                    if _max_drift(window, x1, x2) <= conv_tol:
-                        return finish(TerminalStatus.CONVERGED, t, x1, x2)
+        # Next step's stage-1 slopes, doubling as the convergence velocity.
+        k11 = x1 * (b1 - a11 * x1 - a12 * x2)
+        k12 = x2 * (b2 - a21 * x1 - a22 * x2)
+        if conv_tol > 0:
+            window.append((t, x1, x2))
+            while len(window) >= 2 and window[1][0] <= t - _CONV_WINDOW:
+                window.popleft()
+            if (max(abs(k11), abs(k12)) <= conv_tol
+                    and window[0][0] <= t - _CONV_WINDOW):
+                if _max_drift(window, x1, x2) <= conv_tol:
+                    return finish(TerminalStatus.CONVERGED, t, x1, x2)
 
-            if fixed is None:
-                check -= 1
-                if not check:
-                    check = _STIFF_CHECK_EVERY
-                    j11 = b1 - 2.0 * a11 * x1 - a12 * x2
-                    j22 = b2 - a21 * x1 - 2.0 * a22 * x2
-                    if h * _spectral_radius(j11, -a12 * x1, -a21 * x2, j22) > _STIFF_ENTER:
-                        streak += 1
-                        if streak == _STIFF_CHECKS:
-                            break
-                    else:
-                        streak = 0
-                e = err if err > 1e-10 else 1e-10
-                fac = 0.9 * e ** -0.14 * err_prev ** 0.08
-                if fac > 5.0:
-                    fac = 5.0
-                elif fac < 0.2:
-                    fac = 0.2
-                h *= fac
-                err_prev = e
-                if h < min_step and t < horizon:
-                    return finish(TerminalStatus.STEP_FAILURE, t, x1, x2)
-        else:
-            break
-
-        # Stiff: the step has sat at RKF45's stability limit.  ROS2 carries
-        # on from the same point and step until h*rho falls well below it.
-        streak, err_prev = 0, 1.0
-        while t < horizon:
-            if h > horizon - t:
-                h = horizon - t
-            # Stage matrix M = I - gamma*h*J on the exact Jacobian J at x.  On
-            # an axis J is triangular, so Cramer's rule gives the zero
-            # coordinate stage increments of exactly 0.0.
-            j11 = b1 - 2.0 * a11 * x1 - a12 * x2
-            j12 = -a12 * x1
-            j21 = -a21 * x2
-            j22 = b2 - a21 * x1 - 2.0 * a22 * x2
-            g = _ROS2_GAMMA * h
-            m11 = 1.0 - g * j11
-            m12 = -g * j12
-            m21 = -g * j21
-            m22 = 1.0 - g * j22
-            det = m11 * m22 - m12 * m21
-            if not det:
-                det = math.nan  # singular stage matrix: the step is rejected
-            s1 = (k11 * m22 - m12 * k12) / det
-            s2 = (m11 * k12 - m21 * k11) / det
-            y1 = x1 + h * s1
-            y2 = x2 + h * s2
-            r1 = y1 * (b1 - a11 * y1 - a12 * y2) - 2.0 * s1
-            r2 = y2 * (b2 - a21 * y1 - a22 * y2) - 2.0 * s2
-            u1 = (r1 * m22 - m12 * r2) / det
-            u2 = (m11 * r2 - m21 * r1) / det
-            x1n = x1 + h * (1.5 * s1 + 0.5 * u1)
-            x2n = x2 + h * (1.5 * s2 + 0.5 * u2)
-            # Against the embedded first-order solution x + h*s.
-            e1 = 0.5 * h * (s1 + u1)
-            e2 = 0.5 * h * (s2 + u2)
-
-            a1 = abs(x1n)
-            v = abs(x1)
-            sc1 = abs_tol + rel_tol * (a1 if a1 > v else v)
-            a2 = abs(x2n)
-            v = abs(x2)
-            sc2 = abs_tol + rel_tol * (a2 if a2 > v else v)
-            q1 = e1 / sc1
-            q2 = e2 / sc2
-            err = math.sqrt(0.5 * (q1 * q1 + q2 * q2))
-
-            if not err <= 1.0:  # catches NaN as well
-                n_rejected += 1
-                h *= max(0.1, 0.9 * err ** -0.5) if err <= 1e12 else 0.1
-                if h < min_step:
-                    return finish(TerminalStatus.STEP_FAILURE, t, x1, x2)
-                continue
-
-            t += h
-            x1, x2 = x1n, x2n
-            n_accepted += 1
-            since_sample += 1
-            if since_sample >= sample_every:
-                samples.append((t, x1, x2))
-                since_sample = 0
-
-            if stop_condition is not None and stop_condition(t, (x1, x2)):
-                return finish(TerminalStatus.STOPPED, t, x1, x2)
-            if not (abs(x1) <= escape_bound and abs(x2) <= escape_bound):
-                return finish(TerminalStatus.LEFT_DOMAIN, t, x1, x2,
-                              terminal_bound=escape_bound)
-
-            k11 = x1 * (b1 - a11 * x1 - a12 * x2)
-            k12 = x2 * (b2 - a21 * x1 - a22 * x2)
-            if conv_tol > 0:
-                window.append((t, x1, x2))
-                while len(window) >= 2 and window[1][0] <= t - _CONV_WINDOW:
-                    window.popleft()
-                if (max(abs(k11), abs(k12)) <= conv_tol
-                        and window[0][0] <= t - _CONV_WINDOW):
-                    if _max_drift(window, x1, x2) <= conv_tol:
-                        return finish(TerminalStatus.CONVERGED, t, x1, x2)
-
+        if fixed is None:
             check -= 1
             if not check:
                 check = _STIFF_CHECK_EVERY
-                if h * _spectral_radius(j11, j12, j21, j22) < _NONSTIFF_EXIT:
+                if not stiff:  # ROS2 reuses the J of its stage matrix
+                    j11 = b1 - 2.0 * a11 * x1 - a12 * x2
+                    j12 = -a12 * x1
+                    j21 = -a21 * x2
+                    j22 = b2 - a21 * x1 - 2.0 * a22 * x2
+                hr = h * _spectral_radius(j11, j12, j21, j22)
+                if (hr < _NONSTIFF_EXIT) if stiff else (hr > _STIFF_ENTER):
                     streak += 1
-                    if streak == _NONSTIFF_CHECKS:
-                        break
+                    if streak == switch_after:
+                        # Change stepper and go on with the same step.
+                        stiff = not stiff
+                        reject_exp, ctrl_exp, prev_exp, switch_after = (
+                            _ROS2_CONTROL if stiff else _RKF45_CONTROL)
+                        streak, err_prev = 0, 1.0
+                        continue
                 else:
                     streak = 0
             e = err if err > 1e-10 else 1e-10
-            fac = 0.9 * e ** -0.35 * err_prev ** 0.2
+            fac = 0.9 * e ** ctrl_exp * err_prev ** prev_exp
             if fac > 5.0:
                 fac = 5.0
             elif fac < 0.2:
@@ -486,8 +434,6 @@ def integrate(
             err_prev = e
             if h < min_step and t < horizon:
                 return finish(TerminalStatus.STEP_FAILURE, t, x1, x2)
-        else:
-            break
 
     return finish(TerminalStatus.REACHED_HORIZON, t, x1, x2)
 

@@ -14,11 +14,13 @@ from lvcompete.bifurcation import (
     PathRoot,
     QuadraticPoly,
     WhichDeterminant,
+    _sign_at_root,
     determinant_polys,
     four_case_catalog,
     scan_path,
 )
 from lvcompete.equilibria import EquilibriumKind
+from lvcompete.exact import Sign
 
 
 rationals = st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=6)
@@ -199,6 +201,20 @@ def test_irrational_crossing_gets_a_tight_bracket():
     assert poly(lo) * poly(hi) < 0
     assert root.approx == pytest.approx(math.sqrt(1.5) - 1.0, abs=1e-12)
     assert (event.serial_before, event.serial_after) == (1, 3)
+
+
+@pytest.mark.parametrize("spectator_root,expected", [
+    (Fraction(705, 1000), Sign.POS),
+    (Fraction(708, 1000), Sign.NEG),
+], ids=["below", "above"])
+def test_sign_at_root_shaves_a_bracket_that_straddles_the_spectator(spectator_root, expected):
+    # sqrt(1/2) = 0.70711 lies in [0.7, 0.71], and so does the spectator's
+    # root; only a narrower bracket around sqrt(1/2) settles its sign.
+    root = PathRoot(poly=QuadraticPoly(Fraction(-1, 2), Fraction(0), Fraction(1)),
+                    exact=None, bracket=(Fraction(7, 10), Fraction(71, 100)),
+                    multiplicity=1, sign_change=True)
+    spectator = QuadraticPoly(-spectator_root, Fraction(1), Fraction(0))
+    assert _sign_at_root(spectator, root) is expected
 
 
 def test_constant_path_has_no_events():

@@ -8,10 +8,12 @@ come from floating-point integration and depend on the platform's libm.
 
 To regenerate after an intended output change, run this file as a script
 and paste the printed dictionary over ``GOLDEN``.  The script also prints,
-as comment lines, the sha256 of the 18 gallery portraits (both scopes) and
-of the ``verify --gallery all`` report.  Those are never asserted, for the
-libm reason above, but two source trees run on one machine can compare
-them.
+as comment lines, the sha256 of the 18 gallery portraits (both scopes), of
+the ``verify --gallery all`` report, of the plane-scope ``verify --json``
+records (each probe's final point and step counts) and of ``simulate``
+CSVs for runs that switch between RKF45 and ROS2 with the convergence
+detector on.  Those are never asserted, for the libm reason above, but two
+source trees run on one machine can compare them.
 """
 
 from __future__ import annotations
@@ -155,6 +157,17 @@ def portrait_digest(params: SystemParams, scope: str) -> str:
             return hashlib.sha256(fh.read()).hexdigest()
 
 
+#: ``simulate`` runs that enter ROS2: the first stays there until it
+#: converges, the second switches 8 times each way before it leaves the
+#: domain, the third switches once each way and converges.
+SIMULATE_RUNS = [
+    ["simulate", "--b", "11/3,12", "--a", "6,4/3,5/4,11/2", "--start=0.62,0.001",
+     "--horizon", "10000"],
+    ["simulate", "--b", "2,4", "--a", "1,1,1,2", "--start=-0.001,2.0006", "--horizon", "10000"],
+    ["simulate", "--b", "2,1", "--a", "1,2,1,1", "--start=0.0007,1.0007", "--horizon", "10000"],
+]
+
+
 if __name__ == "__main__":
     print("GOLDEN = {")
     for (command, case), argv in INVOCATIONS.items():
@@ -165,3 +178,7 @@ if __name__ == "__main__":
         for scope in ("quadrant", "plane"):
             print(f"# portrait {label} --scope {scope}: {portrait_digest(entry.params, scope)}")
     print(f"# verify --gallery all: {digest(['verify', '--gallery', 'all'])}")
+    plane = ["verify", "--gallery", "all", "--scope", "plane", "--json"]
+    print(f"# {' '.join(plane)}: {digest(plane)}")
+    for argv in SIMULATE_RUNS:
+        print(f"# {' '.join(argv)}: {digest(argv)}")

@@ -78,20 +78,6 @@ class ParameterPath:
 
 
 @dataclass(frozen=True)
-class _Affine:
-    c0: Fraction
-    c1: Fraction
-
-    @staticmethod
-    def between(u: Fraction, v: Fraction) -> "_Affine":
-        return _Affine(c0=u, c1=v - u)
-
-
-def _affine_product(u: _Affine, v: _Affine) -> Tuple[Fraction, Fraction, Fraction]:
-    return (u.c0 * v.c0, u.c0 * v.c1 + u.c1 * v.c0, u.c1 * v.c1)
-
-
-@dataclass(frozen=True)
 class QuadraticPoly:
     """c0 + c1*s + c2*s**2 with exact rational coefficients."""
 
@@ -308,22 +294,22 @@ class PathScan:
 
 
 def determinant_polys(path: ParameterPath) -> Dict[WhichDeterminant, QuadraticPoly]:
-    """The three determinants as exact quadratics in the path coordinate."""
-    s, e = path.start, path.end
-    b1 = _Affine.between(s.b1, e.b1)
-    b2 = _Affine.between(s.b2, e.b2)
-    a11 = _Affine.between(s.a11, e.a11)
-    a12 = _Affine.between(s.a12, e.a12)
-    a21 = _Affine.between(s.a21, e.a21)
-    a22 = _Affine.between(s.a22, e.a22)
+    """The three determinants as exact quadratics in the path coordinate.
 
-    def minus(p, q) -> QuadraticPoly:
-        return QuadraticPoly(c0=p[0] - q[0], c1=p[1] - q[1], c2=p[2] - q[2])
+    Each determinant is a product difference of parameters affine in s, so
+    it is a quadratic, fixed exactly by its values at s = 0, 1/2 and 1.
+    """
+    d0, dm, d1 = (compute_determinants(p)
+                  for p in (path.start, path.at(Fraction(1, 2)), path.end))
+
+    def through(v0: Fraction, vm: Fraction, v1: Fraction) -> QuadraticPoly:
+        c2 = 2 * (v0 - 2 * vm + v1)
+        return QuadraticPoly(c0=v0, c1=v1 - v0 - c2, c2=c2)
 
     return {
-        WhichDeterminant.D12: minus(_affine_product(a11, a22), _affine_product(a12, a21)),
-        WhichDeterminant.D112: minus(_affine_product(a11, b2), _affine_product(a21, b1)),
-        WhichDeterminant.D122: minus(_affine_product(a12, b2), _affine_product(a22, b1)),
+        WhichDeterminant.D12: through(d0.d12, dm.d12, d1.d12),
+        WhichDeterminant.D112: through(d0.d112, dm.d112, d1.d112),
+        WhichDeterminant.D122: through(d0.d122, dm.d122, d1.d122),
     }
 
 

@@ -1,14 +1,16 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 2 on bad input (including non-positive
-parameters and values outside the floating-point range), 3 when the
-``verify`` subcommand finds a disagreement or an inconclusive probe.
+Exit codes: 0 on success, 2 on bad input (non-positive parameters, numbers
+that are non-finite, out of range or outside the floating-point range, an
+unreadable file), 3 when the ``verify`` subcommand finds a disagreement or
+an inconclusive probe.  Comma lists may start with '-', as in --start -0.5,1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -20,7 +22,6 @@ from .classifier import Scope, classify, cross_check_theorems
 from .dynamics import (
     IntegratorOptions,
     LyapunovTarget,
-    NotApplicable,
     ProbeProtocol,
     ProbeScope,
     empirical_matches,
@@ -51,25 +52,24 @@ def _parse_values(text: str, expected: int, flag: str) -> Tuple[Fraction, ...]:
         raise ParameterError(f"could not parse {flag}={text!r}: {exc}") from None
 
 
-def _params_from_args(args: argparse.Namespace, b_attr: str = "b", a_attr: str = "a",
-                      input_attr: str = "input") -> SystemParams:
-    b_text = getattr(args, b_attr, None)
-    a_text = getattr(args, a_attr, None)
-    input_path = getattr(args, input_attr, None)
-    if input_path is not None:
-        with open(input_path, "r", encoding="utf-8") as fh:
-            return SystemParams.from_json_dict(json.load(fh))
-    if b_text is None or a_text is None:
-        raise ParameterError("provide both --b and --a, or --input FILE")
-    b = _parse_values(b_text, 2, "--b")
-    a = _parse_values(a_text, 4, "--a")
+def _system(b_text: str, a_text: str, b_flag: str = "--b", a_flag: str = "--a") -> SystemParams:
+    b = _parse_values(b_text, 2, b_flag)
+    a = _parse_values(a_text, 4, a_flag)
     return SystemParams(b1=b[0], b2=b[1], a11=a[0], a12=a[1], a21=a[2], a22=a[3])
 
 
+def _params_from_args(args: argparse.Namespace) -> SystemParams:
+    if args.input is not None:
+        with open(args.input, "r", encoding="utf-8") as fh:
+            return SystemParams.from_json_dict(json.load(fh))
+    if args.b is None or args.a is None:
+        raise ParameterError("provide both --b and --a, or --input FILE")
+    return _system(args.b, args.a)
+
+
 def _emit(args: argparse.Namespace, text: str) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -164,8 +164,8 @@ def _cmd_nullclines(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     start = _parse_values(args.start, 2, "--start")
-    if args.horizon <= 0:
-        raise ParameterError(f"--horizon must be positive, got {args.horizon}")
+    if not 0 < args.horizon < math.inf:
+        raise ParameterError(f"--horizon must be positive and finite, got {args.horizon}")
     traj = integrate(params, (float(start[0]), float(start[1])), args.horizon,
                      IntegratorOptions())
     _emit(args, traj.to_csv())
@@ -214,20 +214,15 @@ def _verify_one(params: SystemParams, label: str, scope_name: str, seed: int,
     d = report.determinants
     if d.d12 != 0 and (d.d122 == 0 or d.d112 == 0):
         which = LyapunovTarget.FOR_AXIS2 if d.d122 == 0 else LyapunovTarget.FOR_AXIS1
-        try:
-            check = lyapunov_verify(params, which, sample_count=300, seed=seed)
-        except NotApplicable as exc:  # pragma: no cover - guarded by the if
-            ok = False
-            emit(f"FAIL lyapunov: unexpectedly not applicable: {exc}")
+        check = lyapunov_verify(params, which, sample_count=300, seed=seed)
+        if check.passed():
+            emit(f"PASS lyapunov[{which.value}]: max relative gap "
+                 f"{check.max_rel_gap:.3e}, signs consistent")
         else:
-            if check.passed():
-                emit(f"PASS lyapunov[{which.value}]: max relative gap "
-                     f"{check.max_rel_gap:.3e}, signs consistent")
-            else:
-                ok = False
-                emit(f"FAIL lyapunov[{which.value}]: max relative gap "
-                     f"{check.max_rel_gap:.3e}, signs "
-                     f"{'ok' if check.all_signs_match else 'WRONG'}")
+            ok = False
+            emit(f"FAIL lyapunov[{which.value}]: max relative gap "
+                 f"{check.max_rel_gap:.3e}, signs "
+                 f"{'ok' if check.all_signs_match else 'WRONG'}")
 
     protocol = ProbeProtocol(scope=probe_scope, probe_count=probe_count)
     for eq in _verification_targets(params):
@@ -247,14 +242,14 @@ def _verify_one(params: SystemParams, label: str, scope_name: str, seed: int,
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    jobs: List[Tuple[str, SystemParams]] = []
-    if args.gallery is not None:
-        if args.gallery == "all":
-            jobs = [(label, entry.params) for label, entry in PORTRAIT_GALLERY.items()]
-        else:
-            jobs = [(args.gallery, gallery_entry(args.gallery).params)]
-    else:
+    if args.probes < 1:
+        raise ParameterError(f"--probes must be at least 1, got {args.probes}")
+    if args.gallery is None:
         jobs = [("params", _params_from_args(args))]
+    elif args.gallery == "all":
+        jobs = [(label, entry.params) for label, entry in PORTRAIT_GALLERY.items()]
+    else:
+        jobs = [(args.gallery, gallery_entry(args.gallery).params)]
 
     lines: List[str] = []
     empirical: List[dict] = []
@@ -271,11 +266,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.steps < 0:
+        raise ParameterError(f"--steps must not be negative, got {args.steps}")
     start = _params_from_args(args)
-    end_b = _parse_values(args.end_b, 2, "--end-b")
-    end_a = _parse_values(args.end_a, 4, "--end-a")
-    end = SystemParams(b1=end_b[0], b2=end_b[1], a11=end_a[0], a12=end_a[1],
-                       a21=end_a[2], a22=end_a[3])
+    end = _system(args.end_b, args.end_a, "--end-b", "--end-a")
     scan = scan_path(ParameterPath(start=start, end=end))
     if args.json:
         _emit_json(args, scan.to_json_dict())
@@ -319,14 +313,16 @@ def _add_system_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--b", help="intrinsic growth rates, e.g. --b 3,4")
     sub.add_argument("--a", help="competition matrix row-major, e.g. --a 1,1,1,2")
     sub.add_argument("--input", help="JSON file with keys 'b' and 'a'")
-
-
-def _add_common_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--json", action="store_true", help="machine-readable output")
     sub.add_argument("--out", help="write output to this file instead of stdout")
+
+
+def _add_json_option(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--json", action="store_true", help="machine-readable output")
+
+
+def _add_scope_option(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--scope", choices=("quadrant", "plane"), default="quadrant",
                      help="analysis scope for verdicts and probes")
-    sub.add_argument("--seed", type=int, default=0, help="seed offset for sampled checks")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,38 +335,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("classify", help="sign case, serial and stability verdicts")
     _add_system_options(p)
-    _add_common_options(p)
+    _add_json_option(p)
     p.add_argument("--table6", action="store_true",
                    help="also print the five-slot stability pattern")
     p.set_defaults(handler=_cmd_classify)
 
     p = subs.add_parser("equilibria", help="exact equilibria and eigenvalues")
     _add_system_options(p)
-    _add_common_options(p)
+    _add_json_option(p)
     p.add_argument("--include-off-quadrant", action="store_true",
                    help="include an interior point with negative coordinates")
     p.set_defaults(handler=_cmd_equilibria)
 
     p = subs.add_parser("nullclines", help="nullcline segments and flow directions")
     _add_system_options(p)
-    _add_common_options(p)
+    _add_json_option(p)
     p.set_defaults(handler=_cmd_nullclines)
 
     p = subs.add_parser("simulate", help="integrate one trajectory, emit CSV")
     _add_system_options(p)
-    _add_common_options(p)
     p.add_argument("--start", required=True, help="initial point, e.g. --start 1,1")
     p.add_argument("--horizon", type=float, default=100.0)
     p.set_defaults(handler=_cmd_simulate)
 
     p = subs.add_parser("portrait", help="render an SVG phase portrait")
     _add_system_options(p)
-    _add_common_options(p)
+    _add_scope_option(p)
     p.set_defaults(handler=_cmd_portrait)
 
     p = subs.add_parser("verify", help="cross-check analysis against simulation")
     _add_system_options(p)
-    _add_common_options(p)
+    _add_json_option(p)
+    _add_scope_option(p)
+    p.add_argument("--seed", type=int, default=0, help="seed offset for sampled checks")
     p.add_argument("--gallery", nargs="?", const="all",
                    help="verify a gallery case by label, or all of them")
     p.add_argument("--probes", type=int, default=8,
@@ -379,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sweep", help="scan a straight parameter path for exchanges")
     _add_system_options(p)
-    _add_common_options(p)
+    _add_json_option(p)
     p.add_argument("--end-b", required=True, help="growth rates at s = 1")
     p.add_argument("--end-a", required=True, help="competition matrix at s = 1")
     p.add_argument("--steps", type=int, default=0,
@@ -389,21 +386,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Flags that take a comma list.  argparse reads a value such as
+#: "-0.5,1" as an option, so ``main`` joins it to its flag ("--start=-0.5,1").
+_LIST_FLAGS = frozenset({"--b", "--a", "--start", "--end-b", "--end-a"})
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    joined: List[str] = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if joined and joined[-1] in _LIST_FLAGS and token[:1] == "-" and token[:2] != "--":
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    args = build_parser().parse_args(joined)
     try:
         return args.handler(args)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError, ValueError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError:

@@ -25,7 +25,6 @@ from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .exact import Sign, sign_of
@@ -66,13 +65,8 @@ __all__ = [
 Point = Tuple[float, float]
 
 
-@lru_cache(maxsize=512)
-def _float_params(params: SystemParams) -> Tuple[float, float, float, float, float, float]:
-    return params.as_float_tuple()
-
-
 def _field_function(params: SystemParams) -> Callable[[Point], Point]:
-    b1, b2, a11, a12, a21, a22 = _float_params(params)
+    b1, b2, a11, a12, a21, a22 = params.as_float_tuple()
 
     def f(x: Point) -> Point:
         x1, x2 = x
@@ -243,10 +237,10 @@ def integrate(
     controller exponents and the switch count change with the stepper
     (``_RKF45_CONTROL``, ``_ROS2_CONTROL``); a switching step keeps its h.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     opts = opts or IntegratorOptions()
-    b1, b2, a11, a12, a21, a22 = _float_params(params)
+    b1, b2, a11, a12, a21, a22 = params.as_float_tuple()
     rel_tol, abs_tol = opts.rel_tol, opts.abs_tol
     conv_tol = opts.conv_tol
     escape_bound = opts.escape_bound
@@ -1049,7 +1043,7 @@ def empirical_stability(
     stop_dist = 0.99 * settle
     vel_floor = _SETTLE_VELOCITY
     tx, ty = target
-    b1f, b2f, a11f, a12f, a21f, a22f = _float_params(params)
+    b1f, b2f, a11f, a12f, a21f, a22f = params.as_float_tuple()
     # Rounding noise in the field near a rest point scales with the terms
     # that cancel there; an absolute velocity threshold can sit permanently
     # below that noise when the rest point has large coordinates.

@@ -111,7 +111,11 @@ class SystemParams:
             a = data["a"]
         except (KeyError, TypeError) as exc:
             raise ParameterError('expected keys "b" (pair) and "a" (2x2 matrix)') from exc
-        if len(b) != 2 or len(a) != 2 or any(len(row) != 2 for row in a):
+        try:
+            shaped = len(b) == 2 and len(a) == 2 and all(len(row) == 2 for row in a)
+        except TypeError:  # an entry without a length, e.g. "a": 5
+            shaped = False
+        if not shaped:
             raise ParameterError('"b" must have 2 entries and "a" must be 2x2')
         return cls.from_pairs(b, a)
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from lvcompete.cli import main
 
 
@@ -228,3 +230,49 @@ def test_malformed_values_are_parameter_errors(capsys, tmp_path):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err == "error: parameter values are outside the floating-point range\n", argv
+    # Numbers argparse accepts but the command cannot use, and unreadable
+    # or ill-shaped input files.
+    not_a_system = tmp_path / "not_a_system.json"
+    not_a_system.write_text(json.dumps({"b": [1, 2], "a": 5}))
+    for argv, message in (
+            (["simulate", *CASE1, "--start", "1,1", "--horizon", "inf"], "--horizon must be"),
+            (["simulate", *CASE1, "--start", "1,1", "--horizon", "nan"], "--horizon must be"),
+            (["verify", *CASE1, "--probes", "0"], "--probes must be at least 1"),
+            (["sweep", *CASE1, "--end-b", "2,6", "--end-a", "1,1,1,2", "--steps", "-1"],
+             "--steps must not be negative"),
+            (["classify", "--input", str(not_a_system)], '"a" must be 2x2'),
+            (["classify", "--input", str(tmp_path)], "error: ")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and message in err, argv
+
+
+def test_comma_lists_may_start_with_a_minus(capsys):
+    spaced = run(capsys, "simulate", *CASE1, "--horizon", "1", "--start", "-0.001,2.0006")
+    joined = run(capsys, "simulate", *CASE1, "--horizon", "1", "--start=-0.001,2.0006")
+    assert spaced[0] == 0
+    assert spaced == joined
+    code, _, err = run(capsys, "classify", "--b", "-1,2", "--a", "1,1,1,2")
+    assert code == 2
+    assert "b1 must be positive" in err
+
+
+JSON, SCOPE, SEED = ("--json",), ("--scope", "plane"), ("--seed", "1")
+RETIRED_FLAGS = [
+    *[(command, flag) for command in ("classify", "equilibria", "nullclines", "sweep")
+      for flag in (SCOPE, SEED)],
+    ("simulate", JSON), ("simulate", SCOPE), ("simulate", SEED),
+    ("portrait", JSON), ("portrait", SEED),
+]
+REQUIRED = {"simulate": ["--start", "1,1"], "sweep": ["--end-b", "2,6", "--end-a", "1,1,1,2"]}
+
+
+@pytest.mark.parametrize("command,flag", RETIRED_FLAGS,
+                         ids=[f"{c} {f[0]}" for c, f in RETIRED_FLAGS])
+def test_flags_a_command_never_reads_are_usage_errors(capsys, monkeypatch, tmp_path,
+                                                     command, flag):
+    monkeypatch.chdir(tmp_path)  # where a portrait that ran would land
+    with pytest.raises(SystemExit) as exc:
+        main([command, *CASE1, *REQUIRED.get(command, []), *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -138,7 +138,7 @@ def test_absurd_step_floor_fails_fast(gallery_params):
     assert traj.n_accepted == 0
 
 
-@pytest.mark.parametrize("horizon", [0.0, -3.0])
+@pytest.mark.parametrize("horizon", [0.0, -3.0, math.inf, math.nan])
 def test_nonpositive_horizon_rejected(gallery_params, horizon):
     with pytest.raises(ValueError, match="horizon must be positive"):
         integrate(gallery_params["case1"], (1.0, 1.0), horizon)

@@ -73,6 +73,10 @@ class TestSystemParams:
             SystemParams.from_json_dict({"b": [1, 2]})
         with pytest.raises(ParameterError):
             SystemParams.from_json_dict({"b": [1, 2, 3], "a": [[1, 1], [1, 1]]})
+        with pytest.raises(ParameterError):
+            SystemParams.from_json_dict({"b": [1, 2], "a": 5})
+        with pytest.raises(ParameterError):
+            SystemParams.from_json_dict({"b": [1, 2], "a": [[1, 1], 5]})
 
     def test_float_tuple_order(self):
         p = SystemParams.from_pairs((1, 2), ((3, 4), (5, 6)))

@@ -5,9 +5,9 @@ exact classification from the outside.  The main pieces are
 
 * an adaptive integrator with PI step control that keeps the coordinate
   axes exactly invariant: one stepping loop runs embedded
-  Runge-Kutta-Fehlberg 4(5) by default and the L-stable Rosenbrock method
-  ROS2 while a stiffness test on the exact Jacobian finds the run pinned at
-  RKF45's stability limit,
+  Runge-Kutta-Fehlberg 4(5) by default and the third-order L-stable
+  Rosenbrock method ROS3 while a stiffness test on the exact Jacobian finds
+  the run pinned at RKF45's stability limit,
 * nullcline geometry with per-segment crossing directions,
 * the wedge regions between the oblique nullclines used by the semi-stable
   analysis, with exact membership tests,
@@ -106,7 +106,7 @@ class IntegratorOptions:
     ``conv_tol`` gates the convergence detector (velocity below the
     tolerance *and* total displacement over the trailing 1.0 time units,
     ``_CONV_WINDOW``, below it); set it to 0 to disable detection entirely.
-    ``fixed_step`` disables adaptivity and the switch to ROS2 — used by the
+    ``fixed_step`` disables adaptivity and the switch to ROS3 — used by the
     order-measurement tests.  Otherwise the first step is guessed from the
     initial speed and steps are never clamped from above.
     ``stop_condition`` is checked on the initial point and after every
@@ -161,9 +161,16 @@ _A61, _A62, _A63, _A64, _A65 = -8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40
 _B1, _B3, _B4, _B5, _B6 = 16 / 135, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55
 _E1, _E3, _E4, _E5, _E6 = 1 / 360, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55
 
-#: ROS2 (Verwer, Spee, Blom & Hundsdorfer, SIAM J. Sci. Comput. 20, 1999):
-#: gamma = 1 + 1/sqrt(2) makes the two-stage linearly implicit method L-stable.
-_ROS2_GAMMA = 1.0 + 1.0 / math.sqrt(2.0)
+# ROS3 (Sandu, Verwer, Blom, Spee, Carmichael & Potra, Atmos. Environ. 31,
+# 1997), in their unscaled-stage form: a three-stage linearly implicit
+# method of order 3 with an embedded order-2 solution, L-stable, with two
+# field evaluations per step.  The new point is x + K1 + M2*K2 + M3*K3 and
+# the error estimate E1*K1 + E2*K2 + E3*K3.
+_ROS3_GAMMA = 0.43586652150845899942
+_ROS3_C21 = -1.0156171083877702092
+_ROS3_C31, _ROS3_C32 = 4.0759956452537699825, 9.2076794298330791242
+_ROS3_M2, _ROS3_M3 = 6.1697947043828245593, -0.42772256543218573326
+_ROS3_E1, _ROS3_E2, _ROS3_E3 = 0.5, -2.9079558716805469822, 0.22354069897811569627
 
 # Stiffness test (Hairer & Wanner, Solving ODEs II, IV.2) on the exact
 # Jacobian: every _STIFF_CHECK_EVERY accepted adaptive steps, h*rho(J) is
@@ -171,7 +178,7 @@ _ROS2_GAMMA = 1.0 + 1.0 / math.sqrt(2.0)
 # check costs about as much as a tenth of a step, so checking every 16
 # steps slowed short runs by about 1%.
 _STIFF_CHECK_EVERY = 32
-#: Switch to ROS2 after h*rho > _STIFF_ENTER at this many consecutive
+#: Switch to ROS3 after h*rho > _STIFF_ENTER at this many consecutive
 #: checks, 256 steps at the limit: a short run that reaches a sink and
 #: stops soon after stays on RKF45, which needs fewer steps there.
 _STIFF_ENTER = 3.0
@@ -181,8 +188,9 @@ _NONSTIFF_EXIT = 1.0
 _NONSTIFF_CHECKS = 2
 #: What changes with the stepper: the reject exponent, the PI controller's
 #: exponents on this and the previous error, and the checks to switch out.
+#: The exponents follow the order of each error estimate, 5 and 3.
 _RKF45_CONTROL = (-0.2, -0.14, 0.08, _STIFF_CHECKS)
-_ROS2_CONTROL = (-0.5, -0.35, 0.2, _NONSTIFF_CHECKS)
+_ROS3_CONTROL = (-1 / 3, -0.7 / 3, 0.4 / 3, _NONSTIFF_CHECKS)
 
 
 def _spectral_radius(j11: float, j12: float, j21: float, j22: float) -> float:
@@ -223,19 +231,19 @@ def integrate(
     h*rho, with rho the spectral radius of the closed-form Jacobian, against
     RKF45's real stability interval [-3.68, 0].  After 8 consecutive checks
     with h*rho > 3 (``_STIFF_CHECKS``, ``_STIFF_ENTER``) at the newly
-    accepted point the run is stability-limited, and it continues with ROS2,
-    a two-stage linearly implicit L-stable Rosenbrock method
-    (gamma = 1 + 1/sqrt(2)) on the exact Jacobian with a first-order
-    embedded error estimate.  After 2 consecutive checks with h*rho < 1
-    (``_NONSTIFF_CHECKS``, ``_NONSTIFF_EXIT``), each on the Jacobian that
-    ROS2 built at the start of the step just taken, it returns to RKF45.
-    On an axis the Jacobian is triangular, so ROS2 keeps the axes exactly
-    invariant too.
+    accepted point the run is stability-limited, and it continues with ROS3,
+    a three-stage linearly implicit L-stable Rosenbrock method of order 3
+    (Sandu et al., 1997) on the exact Jacobian, with two field evaluations
+    per step and an embedded order-2 error estimate.  After 2 consecutive
+    checks with h*rho < 1 (``_NONSTIFF_CHECKS``, ``_NONSTIFF_EXIT``), each
+    on the Jacobian that ROS3 built at the start of the step just taken, it
+    returns to RKF45.  On an axis the Jacobian is triangular, so ROS3 keeps
+    the axes exactly invariant too.
 
     One loop on scalar locals serves both steppers: a ``stiff`` flag picks
     the stage block, and all that follows is shared.  Only the reject and
     controller exponents and the switch count change with the stepper
-    (``_RKF45_CONTROL``, ``_ROS2_CONTROL``); a switching step keeps its h.
+    (``_RKF45_CONTROL``, ``_ROS3_CONTROL``); a switching step keeps its h.
     """
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
@@ -297,34 +305,43 @@ def integrate(
             h = horizon - t
 
         if stiff:
-            # ROS2.  Stage matrix M = I - gamma*h*J on the exact Jacobian J
-            # at x.  On an axis J is triangular, so Cramer's rule gives the
-            # zero coordinate stage increments of exactly 0.0.
+            # ROS3 in the unscaled-stage form: every stage solves with
+            # M = I/(gamma*h) - J on the exact Jacobian J at x.  On an axis J
+            # is triangular and the zero coordinate of every right-hand side
+            # is 0, so Cramer's rule gives that coordinate's stages exactly
+            # 0.0.
             j11 = b1 - 2.0 * a11 * x1 - a12 * x2
             j12 = -a12 * x1
             j21 = -a21 * x2
             j22 = b2 - a21 * x1 - 2.0 * a22 * x2
-            g = _ROS2_GAMMA * h
-            m11 = 1.0 - g * j11
-            m12 = -g * j12
-            m21 = -g * j21
-            m22 = 1.0 - g * j22
-            det = m11 * m22 - m12 * m21
+            hinv = 1.0 / h
+            g = hinv / _ROS3_GAMMA
+            m11 = g - j11
+            m22 = g - j22
+            det = m11 * m22 - j12 * j21
             if not det:
                 det = math.nan  # singular stage matrix: the step is rejected
-            s1 = (k11 * m22 - m12 * k12) / det
-            s2 = (m11 * k12 - m21 * k11) / det
-            y1 = x1 + h * s1
-            y2 = x2 + h * s2
-            r1 = y1 * (b1 - a11 * y1 - a12 * y2) - 2.0 * s1
-            r2 = y2 * (b2 - a21 * y1 - a22 * y2) - 2.0 * s2
-            u1 = (r1 * m22 - m12 * r2) / det
-            u2 = (m11 * r2 - m21 * r1) / det
-            x1n = x1 + h * (1.5 * s1 + 0.5 * u1)
-            x2n = x2 + h * (1.5 * s2 + 0.5 * u2)
-            # Against the embedded first-order solution x + h*s.
-            e1 = 0.5 * h * (s1 + u1)
-            e2 = 0.5 * h * (s2 + u2)
+            s1 = (k11 * m22 + j12 * k12) / det
+            s2 = (m11 * k12 + j21 * k11) / det
+            y1 = x1 + s1
+            y2 = x2 + s2
+            f1 = y1 * (b1 - a11 * y1 - a12 * y2)
+            f2 = y2 * (b2 - a21 * y1 - a22 * y2)
+            c = _ROS3_C21 * hinv
+            r1 = f1 + c * s1
+            r2 = f2 + c * s2
+            u1 = (r1 * m22 + j12 * r2) / det
+            u2 = (m11 * r2 + j21 * r1) / det
+            # The third stage reuses the second stage's field value.
+            r1 = f1 + (_ROS3_C31 * s1 + _ROS3_C32 * u1) * hinv
+            r2 = f2 + (_ROS3_C31 * s2 + _ROS3_C32 * u2) * hinv
+            w1 = (r1 * m22 + j12 * r2) / det
+            w2 = (m11 * r2 + j21 * r1) / det
+            x1n = x1 + s1 + _ROS3_M2 * u1 + _ROS3_M3 * w1
+            x2n = x2 + s2 + _ROS3_M2 * u2 + _ROS3_M3 * w2
+            # Against the embedded second-order solution.
+            e1 = _ROS3_E1 * s1 + _ROS3_E2 * u1 + _ROS3_E3 * w1
+            e2 = _ROS3_E1 * s2 + _ROS3_E2 * u2 + _ROS3_E3 * w2
         else:
             # RKF45, the default stepper.
             y1 = x1 + h * (_A21 * k11)
@@ -401,7 +418,7 @@ def integrate(
             check -= 1
             if not check:
                 check = _STIFF_CHECK_EVERY
-                if not stiff:  # ROS2 reuses the J of its stage matrix
+                if not stiff:  # ROS3 reuses the J of its stage matrix
                     j11 = b1 - 2.0 * a11 * x1 - a12 * x2
                     j12 = -a12 * x1
                     j21 = -a21 * x2
@@ -413,7 +430,7 @@ def integrate(
                         # Change stepper and go on with the same step.
                         stiff = not stiff
                         reject_exp, ctrl_exp, prev_exp, switch_after = (
-                            _ROS2_CONTROL if stiff else _RKF45_CONTROL)
+                            _ROS3_CONTROL if stiff else _RKF45_CONTROL)
                         streak, err_prev = 0, 1.0
                         continue
                 else:

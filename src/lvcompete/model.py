@@ -111,8 +111,13 @@ class SystemParams:
             a = data["a"]
         except (KeyError, TypeError) as exc:
             raise ParameterError('expected keys "b" (pair) and "a" (2x2 matrix)') from exc
+
+        def is_pair(value) -> bool:
+            # A string has a length too, but its characters are no numbers.
+            return not isinstance(value, str) and len(value) == 2
+
         try:
-            shaped = len(b) == 2 and len(a) == 2 and all(len(row) == 2 for row in a)
+            shaped = is_pair(b) and is_pair(a) and all(is_pair(row) for row in a)
         except TypeError:  # an entry without a length, e.g. "a": 5
             shaped = False
         if not shaped:

@@ -234,6 +234,8 @@ def test_malformed_values_are_parameter_errors(capsys, tmp_path):
     # or ill-shaped input files.
     not_a_system = tmp_path / "not_a_system.json"
     not_a_system.write_text(json.dumps({"b": [1, 2], "a": 5}))
+    strings = tmp_path / "strings.json"
+    strings.write_text(json.dumps({"b": "34", "a": ["12", "12"]}))
     for argv, message in (
             (["simulate", *CASE1, "--start", "1,1", "--horizon", "inf"], "--horizon must be"),
             (["simulate", *CASE1, "--start", "1,1", "--horizon", "nan"], "--horizon must be"),
@@ -241,6 +243,7 @@ def test_malformed_values_are_parameter_errors(capsys, tmp_path):
             (["sweep", *CASE1, "--end-b", "2,6", "--end-a", "1,1,1,2", "--steps", "-1"],
              "--steps must not be negative"),
             (["classify", "--input", str(not_a_system)], '"a" must be 2x2'),
+            (["classify", "--input", str(strings)], '"a" must be 2x2'),
             (["classify", "--input", str(tmp_path)], "error: ")):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv

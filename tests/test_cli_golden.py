@@ -11,7 +11,7 @@ and paste the printed dictionary over ``GOLDEN``.  The script also prints,
 as comment lines, the sha256 of the 18 gallery portraits (both scopes), of
 the ``verify --gallery all`` report, of the plane-scope ``verify --json``
 records (each probe's final point and step counts) and of ``simulate``
-CSVs for runs that switch between RKF45 and ROS2 with the convergence
+CSVs for runs that switch between RKF45 and ROS3 with the convergence
 detector on.  Those are never asserted, for the libm reason above, but two
 source trees run on one machine can compare them.
 """
@@ -157,8 +157,8 @@ def portrait_digest(params: SystemParams, scope: str) -> str:
             return hashlib.sha256(fh.read()).hexdigest()
 
 
-#: ``simulate`` runs that enter ROS2: the first stays there until it
-#: converges, the second switches 8 times each way before it leaves the
+#: ``simulate`` runs that enter ROS3: the first stays there until it
+#: converges, the second switches once each way before it leaves the
 #: domain, the third switches once each way and converges.
 SIMULATE_RUNS = [
     ["simulate", "--b", "11/3,12", "--a", "6,4/3,5/4,11/2", "--start=0.62,0.001",

@@ -162,13 +162,13 @@ def test_stop_condition_checked_before_stepping(gallery_params):
     pytest.param("case1", (2.6, 0.0), (3.0, 0.0), 1e-9, id="start2-expected_limit2"),
     # Stiff: with convergence detection off, the run sits at case2's axis-2
     # equilibrium, where the eigenvalue -4 pins RKF45 at its stability limit
-    # until ROS2 takes over.
+    # until ROS3 takes over.
     pytest.param("case2", (0.0, 2.001), (0.0, 2.0), 0.0, id="stiff-case2-axis2"),
 ])
 def test_axes_are_exactly_invariant(gallery_params, label, start, expected_limit, conv_tol):
     """A coordinate that starts at 0.0 must stay at 0.0 bitwise: the factored
     right-hand side guarantees it for RKF45, the triangular Jacobian on the
-    axis for ROS2, and the single-species limit confirms the run still goes
+    axis for ROS3, and the single-species limit confirms the run still goes
     somewhere sensible."""
     traj = integrate(gallery_params[label], start, 1e4, IntegratorOptions(conv_tol=conv_tol))
     frozen_index = 0 if start[0] == 0.0 else 1
@@ -217,7 +217,7 @@ PROBE_OPTIONS = IntegratorOptions(rel_tol=1e-8, abs_tol=1e-11, conv_tol=1e-9)
 def test_runs_that_reach_a_stiff_sink_converge(b, a, start, horizon):
     """At RKF45's stability limit the step jitter keeps the speed above the
     detector's 1e-9, so these runs used to reach the horizon (3,280 and
-    32,461 steps); ROS2 lets them settle and stop."""
+    32,461 steps); ROS3 lets them settle and stop."""
     params = SystemParams.from_pairs(b, a)
     traj = integrate(params, start, horizon, PROBE_OPTIONS)
     assert traj.terminal_status is TerminalStatus.CONVERGED
@@ -225,15 +225,29 @@ def test_runs_that_reach_a_stiff_sink_converge(b, a, start, horizon):
     assert max(abs(v) for v in vector_field(params, traj.final_point)) <= 1e-9
 
 
-def test_stiff_probe_run_matches_a_radau_reference(gallery_params):
-    """A quadrant-side probe of case2's semi-stable axis-2 equilibrium crawls
-    along the centre manifold, most of the way on the ROS2 path; scipy's
-    Radau IIA at rtol 1e-10 is the reference for its states."""
+def _slow_manifold_probes(params):
+    """Full-plane probes, 4 on the ring, of the zero-eigenvalue axis
+    equilibrium of ``params``, as the benchmark runs them."""
+    eq = next(e for e in classify(params).equilibria
+              if isinstance(e, Equilibrium)
+              and e.kind in (EquilibriumKind.AXIS1, EquilibriumKind.AXIS2)
+              and Sign.ZERO in e.eigenvalues.realpart_signs)
+    return empirical_stability(params, eq, ProbeProtocol(probe_count=4,
+                                                         scope=ProbeScope.FULL_PLANE))
+
+
+@pytest.mark.parametrize("label", ["case2", "case4", "case6", "case7"])
+def test_stiff_probe_run_matches_a_radau_reference(gallery_params, label):
+    """The first probe that converges to the zero-eigenvalue axis
+    equilibrium crawls along the centre manifold, most of the way on the
+    ROS3 path; scipy's Radau IIA at rtol 1e-10 is the reference for its
+    states."""
     from scipy.integrate import solve_ivp
 
-    p = gallery_params["case2"]
+    p = gallery_params[label]
+    start = next(probe.start for probe in _slow_manifold_probes(p).probes
+                 if probe.outcome is ProbeOutcome.CONVERGED_TO_TARGET)
     b1, b2, a11, a12, a21, a22 = p.as_float_tuple()
-    start = (2e-3 * math.cos(math.pi / 8), 2.0 + 2e-3 * math.sin(math.pi / 8))
     times = [1e1, 1e2, 1e3, 1e4, 1e5]
     ref = solve_ivp(
         lambda t, x: [x[0] * (b1 - a11 * x[0] - a12 * x[1]),
@@ -251,22 +265,17 @@ def test_stiff_probe_run_matches_a_radau_reference(gallery_params):
 
 def test_slow_manifold_probes_stay_under_a_step_ceiling(gallery_params):
     """The full-plane probes of the four zero-eigenvalue axis equilibria
-    took 7.44 M accepted RKF45 steps at the stability limit; the switch to
-    ROS2 brings them to about 0.15 M.  The ceiling keeps it switched on.
+    took 7.44 M accepted RKF45 steps at the stability limit, and 153,902
+    with the switch to the second-order ROS2; ROS3 brings them to 16,753.
+    The ceiling keeps the switch on and the stiff stepper third order.
 
     The escaping probes need the switch back to RKF45 for their fast
-    transient: with it they finish in 446-2,875 steps; without it, case7's
+    transient: with it they finish in 446-1,101 steps; without it, case7's
     take about 195 k steps and case2's about 210 k, ending on step-size
     underflow."""
     total = 0
     for label in ("case4", "case7", "case6", "case2"):
-        p = gallery_params[label]
-        eq = next(e for e in classify(p).equilibria
-                  if isinstance(e, Equilibrium)
-                  and e.kind in (EquilibriumKind.AXIS1, EquilibriumKind.AXIS2)
-                  and Sign.ZERO in e.eigenvalues.realpart_signs)
-        emp = empirical_stability(p, eq, ProbeProtocol(probe_count=4,
-                                                       scope=ProbeScope.FULL_PLANE))
+        emp = _slow_manifold_probes(gallery_params[label])
         assert emp.verdict is not EmpiricalVerdictKind.INCONCLUSIVE, label
         for probe in emp.probes:
             if probe.outcome is ProbeOutcome.ESCAPED:
@@ -274,7 +283,22 @@ def test_slow_manifold_probes_stay_under_a_step_ceiling(gallery_params):
                     (label, probe.label, probe.status)
                 assert probe.n_accepted <= 5_000, (label, probe.label, probe.n_accepted)
         total += sum(probe.n_accepted for probe in emp.probes)
-    assert total < 500_000
+    assert total < 40_000
+
+
+@pytest.mark.parametrize("label,start", [
+    pytest.param("case2", (0.0014142, 2.0014142), id="case2"),
+    pytest.param("case4", (1.0014142, 0.0014142), id="case4"),
+])
+def test_centre_manifold_approach_stays_on_the_stiff_stepper(gallery_params, label, start):
+    """On the approach to a zero-eigenvalue axis equilibrium RKF45 sits at
+    its stability limit.  ROS2's first-order error estimate cut h*rho below
+    the exit threshold of 1, so these runs cycled between the steppers and
+    took 19,239 and 3,321 steps; with ROS3 they switch once and take 730
+    and 642."""
+    traj = integrate(gallery_params[label], start, 1e4)
+    assert traj.terminal_status is TerminalStatus.REACHED_HORIZON
+    assert traj.n_accepted < 1_500
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,11 @@ class TestSystemParams:
             SystemParams.from_json_dict({"b": [1, 2], "a": 5})
         with pytest.raises(ParameterError):
             SystemParams.from_json_dict({"b": [1, 2], "a": [[1, 1], 5]})
+        # Strings have a length of their own but are no pairs of numbers.
+        with pytest.raises(ParameterError):
+            SystemParams.from_json_dict({"b": "34", "a": ["12", "12"]})
+        with pytest.raises(ParameterError):
+            SystemParams.from_json_dict({"b": [1, 2], "a": ["12", "12"]})
 
     def test_float_tuple_order(self):
         p = SystemParams.from_pairs((1, 2), ((3, 4), (5, 6)))

@@ -3,9 +3,11 @@
 Move the six parameters affinely from one positive configuration to
 another and every one of the three classifying determinants becomes an
 exact quadratic polynomial in the path coordinate s.  Everything here is
-rational arithmetic: roots are either exact fractions or irrational roots
-confined to sign-change brackets narrower than 2**-64, so no event can be
-missed or invented by floating-point noise.
+exact arithmetic: a root is either a fraction or the quadratic surd
+vertex +- sqrt(q) of its determinant, compared and signed exactly, so no
+event can be missed, merged or invented by floating-point noise.  The JSON
+prints an irrational root as its cell of the 2**-64 grid that bisection of
+its monotone piece would end in.
 
 A root of a minor determinant (with d12 != 0 there) is a transcritical
 exchange: the interior equilibrium passes through an axis equilibrium and
@@ -18,12 +20,13 @@ either side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .exact import Sign, rational_sqrt, sign_of
+from .exact import QuadraticSurd, Sign, sign_of
 from .model import SignCase, SystemParams, compute_determinants, sign_case
 from .equilibria import Equilibrium, EquilibriumKind, find_equilibria
 from .classifier import linearization_verdict
@@ -42,7 +45,7 @@ __all__ = [
     "four_case_catalog",
 ]
 
-#: Brackets for irrational roots are refined below this width.
+#: Irrational roots are printed as a grid cell no wider than this.
 DEFAULT_BRACKET_WIDTH = Fraction(1, 2 ** 64)
 
 
@@ -93,21 +96,25 @@ class QuadraticPoly:
     def is_identically_zero(self) -> bool:
         return self.c0 == 0 and self.c1 == 0 and self.c2 == 0
 
-    def proportional_to(self, other: "QuadraticPoly") -> bool:
-        return (self.c0 * other.c1 == self.c1 * other.c0
-                and self.c0 * other.c2 == self.c2 * other.c0
-                and self.c1 * other.c2 == self.c2 * other.c1)
-
     def to_json_dict(self) -> dict:
         return {"c0": str(self.c0), "c1": str(self.c1), "c2": str(self.c2)}
+
+
+def _root_surd(poly: QuadraticPoly, branch: int) -> QuadraticSurd:
+    """The root vertex + branch*sqrt(q) of c0 + c1*s + c2*s**2 with c2 != 0:
+    vertex = -c1/(2*c2) and q = vertex**2 - c0/c2."""
+    vertex = -poly.c1 / (2 * poly.c2)
+    return QuadraticSurd(p=vertex, q=vertex * vertex - poly.c0 / poly.c2, r=Fraction(1),
+                         branch=branch)
 
 
 @dataclass(frozen=True)
 class PathRoot:
     """A root of one determinant polynomial inside the open interval (0, 1).
 
-    Rational roots carry their exact value; irrational ones carry a
-    sign-change bracket of width <= ``DEFAULT_BRACKET_WIDTH``.
+    Rational roots carry their exact value.  An irrational root is the
+    surd vertex +- sqrt(q) of ``poly`` on the side of the vertex where its
+    ``bracket``, a grid cell of width <= ``DEFAULT_BRACKET_WIDTH``, lies.
     """
 
     poly: QuadraticPoly
@@ -131,16 +138,17 @@ class PathRoot:
         lo, hi = self.bracket
         return (lo + hi) / 2
 
+    @property
+    def _surd(self) -> QuadraticSurd:
+        """The irrational root exactly, on its bracket's side of the vertex."""
+        right = _root_surd(self.poly, 1)
+        return right if self.bracket[0] >= right.p else replace(right, branch=-1)
+
     def same_location(self, other: "PathRoot") -> bool:
-        if self.exact is not None and other.exact is not None:
-            return self.exact == other.exact
-        if self.exact is not None or other.exact is not None:
-            # A rational root can never coincide with an irrational one.
-            return False
-        if not self.poly.proportional_to(other.poly):
-            return False
-        (a_lo, a_hi), (b_lo, b_hi) = self.bracket, other.bracket
-        return max(a_lo, b_lo) <= min(a_hi, b_hi)
+        if self.exact is None and other.exact is None:
+            return self._surd == other._surd
+        # A rational root can never coincide with an irrational one.
+        return self.exact == other.exact
 
     def to_json_dict(self) -> dict:
         return {
@@ -153,57 +161,54 @@ class PathRoot:
         }
 
 
-def _bisect(poly: QuadraticPoly, lo: Fraction, hi: Fraction) -> Tuple[Fraction, Fraction]:
-    s_lo = sign_of(poly(lo))
-    while hi - lo > DEFAULT_BRACKET_WIDTH:
-        mid = (lo + hi) / 2
-        s_mid = sign_of(poly(mid))
-        if s_mid is Sign.ZERO:  # cannot happen for an irrational root, but be safe
-            return (mid, mid)
-        if s_mid is s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return (lo, hi)
+def _bracket(root: QuadraticSurd) -> Optional[Tuple[Fraction, Fraction]]:
+    """The grid cell of an irrational root vertex +- sqrt(q), or ``None``
+    when the root lies outside (0, 1).
+
+    The cell is the one that bisecting the root's monotone piece [lo, hi]
+    (between the cuts 0, vertex and 1) ends in: after the fewest halvings n
+    that leave w = (hi - lo) / 2**n <= ``DEFAULT_BRACKET_WIDTH``, it is
+    [lo + k*w, lo + (k+1)*w] with k = floor((root - lo) / w).  An irrational
+    root never sits on a grid point, so it lies in (lo, hi) iff 0 <= k < 2**n.
+    """
+    vertex = root.p
+    if root.branch < 0:
+        lo, hi = Fraction(0), min(vertex, Fraction(1))
+    else:
+        lo, hi = max(vertex, Fraction(0)), Fraction(1)
+    if hi <= lo:
+        return None
+    n = (math.ceil((hi - lo) / DEFAULT_BRACKET_WIDTH) - 1).bit_length()
+    w = (hi - lo) / 2 ** n
+    k = math.floor(replace(root, p=vertex - lo, r=w))  # (root - lo) / w
+    if not 0 <= k < 2 ** n:
+        return None
+    return (lo + k * w, lo + (k + 1) * w)
 
 
 def _roots_in_open_unit_interval(poly: QuadraticPoly) -> List[PathRoot]:
     if poly.is_identically_zero:
         return []
     c0, c1, c2 = poly.c0, poly.c1, poly.c2
-    roots: List[PathRoot] = []
-
-    def keep(value: Fraction, multiplicity: int, sign_change: bool) -> None:
-        if 0 < value < 1:
-            roots.append(PathRoot(poly=poly, exact=value, bracket=None,
-                                  multiplicity=multiplicity, sign_change=sign_change))
-
     if c2 == 0:
-        if c1 != 0:
-            keep(-c0 / c1, 1, True)
-        return roots
+        if c1 != 0 and 0 < -c0 / c1 < 1:
+            return [PathRoot(poly=poly, exact=-c0 / c1, bracket=None,
+                             multiplicity=1, sign_change=True)]
+        return []
 
-    disc = c1 * c1 - 4 * c0 * c2
-    if disc < 0:
-        return roots
-    if disc == 0:
-        keep(-c1 / (2 * c2), 2, False)
-        return roots
-    sq = rational_sqrt(disc)
-    if sq is not None:
-        keep((-c1 - sq) / (2 * c2), 1, True)
-        keep((-c1 + sq) / (2 * c2), 1, True)
-        return roots
-
-    # Irrational pair.  The vertex splits the interval into monotone pieces;
-    # because the discriminant is not a perfect square, the polynomial is
-    # nonzero at every rational point, so endpoint signs are decisive.
-    vertex = -c1 / (2 * c2)
-    cuts = sorted({Fraction(0), Fraction(1), *([vertex] if 0 < vertex < 1 else [])})
-    for lo, hi in zip(cuts, cuts[1:]):
-        if sign_of(poly(lo)) is not sign_of(poly(hi)):
-            bracket = _bisect(poly, lo, hi)
-            roots.append(PathRoot(poly=poly, exact=None, bracket=bracket,
+    left = _root_surd(poly, -1)
+    vertex, q = left.p, left.q
+    if q == 0 and 0 < vertex < 1:
+        return [PathRoot(poly=poly, exact=vertex, bracket=None,
+                         multiplicity=2, sign_change=False)]
+    if q <= 0:
+        return []
+    roots: List[PathRoot] = []
+    for surd in (left, replace(left, branch=1)):
+        exact = surd.as_rational()
+        bracket = None if exact is not None else _bracket(surd)
+        if bracket is not None or (exact is not None and 0 < exact < 1):
+            roots.append(PathRoot(poly=poly, exact=exact, bracket=bracket,
                                   multiplicity=1, sign_change=True))
     return roots
 
@@ -314,27 +319,18 @@ def determinant_polys(path: ParameterPath) -> Dict[WhichDeterminant, QuadraticPo
 
 
 def _sign_at_root(poly: QuadraticPoly, root: PathRoot) -> Sign:
-    """Sign of another determinant polynomial at this root's location."""
+    """Exact sign of another determinant polynomial at this root's location.
+
+    At s = u + t*sqrt(q), c0 + c1*s + c2*s**2 = A + B*sqrt(q) with
+    A = c0 + c1*u + c2*(u**2 + q) and B = t*(c1 + 2*c2*u).
+    """
     if root.exact is not None:
         return sign_of(poly(root.exact))
-    lo, hi = root.bracket
-    s_lo, s_hi = sign_of(poly(lo)), sign_of(poly(hi))
-    if s_lo is s_hi:
-        return s_lo
-    # The bracket straddles a root of the *other* polynomial as well; halve
-    # the bracket around this root until the spectator's sign stabilizes.
-    # An irrational root makes ``root.poly`` nonzero at every midpoint.
-    s_root = sign_of(root.poly(lo))
-    for _ in range(80):
-        mid = (lo + hi) / 2
-        if sign_of(root.poly(mid)) is s_root:
-            lo = mid
-        else:
-            hi = mid
-        s_lo, s_hi = sign_of(poly(lo)), sign_of(poly(hi))
-        if s_lo is s_hi:
-            return s_lo
-    raise ArithmeticError("could not separate two distinct irrational roots")
+    surd = root._surd
+    u, q = surd.p, surd.q
+    a = poly.c0 + poly.c1 * u + poly.c2 * (u * u + q)
+    b = surd.branch * (poly.c1 + 2 * poly.c2 * u)
+    return QuadraticSurd(p=a, q=b * b * q, r=Fraction(1), branch=1 if b >= 0 else -1).sign()
 
 
 def _side_classes(
@@ -354,12 +350,12 @@ def scan_path(path: ParameterPath) -> PathScan:
     """Find and classify every determinant zero along the open path.
 
     Roots at s = 0 or s = 1 exactly are not events: there is no sign change
-    inside the domain.  Co-located roots are grouped by exact equality (or,
-    for irrational roots, by proportionality of the irreducible quadratics
-    plus overlapping brackets) — three determinants vanishing together is
+    inside the domain.  Co-located roots are grouped by exact equality of
+    their fractions or surds — three determinants vanishing together is
     the degenerate-line event.  Side samples for the before/after analysis
     sit at s* +- min(gap to the nearest other event or endpoint, 1/1024)/2,
-    close enough that no further root can slip between sample and event.
+    close enough that no further root can slip between sample and event,
+    and never inside the event's bracket.
     """
     polys = determinant_polys(path)
     identically_zero = frozenset(w for w, p in polys.items() if p.is_identically_zero)
@@ -380,19 +376,9 @@ def scan_path(path: ParameterPath) -> PathScan:
             groups.append([(which, root)])
 
     # Conservative exact gaps between neighboring groups (and the endpoints)
-    # for side-sample placement.
-    def hull(group) -> Tuple[Fraction, Fraction]:
-        los, his = [], []
-        for _, root in group:
-            if root.exact is not None:
-                los.append(root.exact)
-                his.append(root.exact)
-            else:
-                los.append(root.bracket[0])
-                his.append(root.bracket[1])
-        return (min(los), max(his))
-
-    hulls = [hull(g) for g in groups]
+    # for side-sample placement.  Co-located roots are equal, and equal surds
+    # get equal brackets, so a group's hull is that of its first root.
+    hulls = [g[0][1].bracket or (g[0][1].exact, g[0][1].exact) for g in groups]
     events: List[BifurcationEvent] = []
     for idx, group in enumerate(groups):
         lo, hi = hulls[idx]
@@ -404,7 +390,7 @@ def scan_path(path: ParameterPath) -> PathScan:
         ordered = tuple(sorted(vanishing, key=lambda w: w.value))
 
         s_rep = primary.representative
-        s_left, s_right = s_rep - delta, s_rep + delta
+        s_left, s_right = min(s_rep - delta, lo), max(s_rep + delta, hi)
         before = compute_determinants(path.at(s_left))
         after = compute_determinants(path.at(s_right))
         case_before = sign_case(before)

@@ -234,8 +234,9 @@ def _verify_one(params: SystemParams, label: str, scope_name: str, seed: int,
         tag = "PASS" if agreed else "FAIL"
         if not agreed:
             ok = False
+        note = f" ({emp.note})" if emp.note else ""
         emit(f"{tag} empirical[{eq.kind.value} @ ({eq.x1}, {eq.x2})]: "
-             f"analytic = {verdict.verdict.value}, probes = {emp.verdict.value}")
+             f"analytic = {verdict.verdict.value}, probes = {emp.verdict.value}{note}")
         record({"system": label, "analytic": verdict.verdict.value, "agreed": agreed,
                 **emp.to_json_dict()})
     return ok

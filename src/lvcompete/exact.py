@@ -118,6 +118,18 @@ class QuadraticSurd:
             return None
         return (self.p + self.branch * root) / self.r
 
+    def __floor__(self) -> int:
+        """Exact ``math.floor`` of a real surd: with p/r = a/c and q/r**2 = m/n it
+        is floor((a*n + floor(branch*sqrt(c*c*m*n))) / (c*n))."""
+        if not self.is_real:
+            raise ValueError("floor of a complex surd")
+        offset, spread = self.p / self.r, self.q / (self.r * self.r)
+        a, c, m, n = offset.numerator, offset.denominator, spread.numerator, spread.denominator
+        root = math.isqrt(c * c * m * n)
+        if self.branch < 0 and root * root != c * c * m * n:
+            root += 1  # floor(-sqrt(x)) = -ceil(sqrt(x))
+        return (a * n + self.branch * root) // (c * n)
+
     def to_complex(self) -> complex:
         return (float(self.p) + self.branch * cmath.sqrt(float(self.q))) / float(self.r)
 

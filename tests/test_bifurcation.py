@@ -57,12 +57,6 @@ def test_path_coordinate_is_validated():
             path.at(bad)
 
 
-def test_proportionality_of_quadratics():
-    p = QuadraticPoly(c0=Fraction(1), c1=Fraction(-2), c2=Fraction(3))
-    assert p.proportional_to(QuadraticPoly(Fraction(2), Fraction(-4), Fraction(6)))
-    assert not p.proportional_to(QuadraticPoly(Fraction(2), Fraction(-4), Fraction(5)))
-
-
 def test_rational_and_irrational_roots_never_coincide():
     poly = QuadraticPoly(c0=Fraction(-1, 2), c1=Fraction(2), c2=Fraction(1))
     rational = PathRoot(poly=poly, exact=Fraction(1, 4), bracket=None,
@@ -209,12 +203,39 @@ def test_irrational_crossing_gets_a_tight_bracket():
 ], ids=["below", "above"])
 def test_sign_at_root_shaves_a_bracket_that_straddles_the_spectator(spectator_root, expected):
     # sqrt(1/2) = 0.70711 lies in [0.7, 0.71], and so does the spectator's
-    # root; only a narrower bracket around sqrt(1/2) settles its sign.
+    # root, so the bracket's end points cannot settle the spectator's sign;
+    # the exact value at the surd sqrt(1/2) does.
     root = PathRoot(poly=QuadraticPoly(Fraction(-1, 2), Fraction(0), Fraction(1)),
                     exact=None, bracket=(Fraction(7, 10), Fraction(71, 100)),
                     multiplicity=1, sign_change=True)
     spectator = QuadraticPoly(-spectator_root, Fraction(1), Fraction(0))
     assert _sign_at_root(spectator, root) is expected
+
+
+def test_crossings_closer_than_the_bracket_width_stay_apart():
+    """d122 = (s - 1/2)**2 - eps has the irrational roots 1/2 +- sqrt(eps),
+    about 1.4e-20 from the vertex: both land in the 2**-64 cells that touch
+    at 1/2.  They are two exchanges, out of and back into bistability, and
+    the side samples of each sit outside its cell."""
+    eps = Fraction(2, 10 ** 40)
+    path = ParameterPath(
+        start=SystemParams.from_pairs((Fraction(3, 4) + eps, 1), ((1, 1), (1, 1))),
+        end=SystemParams.from_pairs((Fraction(15, 4) + eps, 2), ((1, 2), (1, 1))),
+    )
+    poly = determinant_polys(path)[WhichDeterminant.D122]
+    assert (poly.c1, poly.c2) == (-1, 1) and poly(Fraction(1, 2)) == -eps
+    events = scan_path(path).events
+    assert len(events) == 3
+    assert events[0].vanishing == (WhichDeterminant.D112,)
+    half, w = Fraction(1, 2), DEFAULT_BRACKET_WIDTH
+    left, right = events[1:]
+    for event, bracket, serials in ((left, (half - w, half), (8, 5)),
+                                    (right, (half, half + w), (5, 8))):
+        assert event.kind is EventKind.TRANSCRITICAL
+        assert event.vanishing == (WhichDeterminant.D122,)
+        assert event.root.bracket == bracket
+        assert (event.serial_before, event.serial_after) == serials
+    assert not left.root.same_location(right.root)
 
 
 def test_constant_path_has_no_events():

@@ -174,6 +174,15 @@ def test_verify_json_records_every_probe_with_its_step_counts(capsys):
                 assert probe["n_accepted"] > 0 and probe["n_rejected"] >= 0
 
 
+def test_verify_says_why_a_probe_is_inconclusive(capsys):
+    """At b1 = 1e-300 the origin and the axis-1 point are too close to
+    probe; the FAIL lines must give that reason, not only the verdict."""
+    code, out, _ = run(capsys, "verify", "--b", "1e-300,1", "--a", "1,1,1,1")
+    assert code == 3
+    assert "probes = inconclusive (" in out
+    assert "equilibria too close" in out
+
+
 def test_verify_unknown_gallery_label(capsys):
     code, _, err = run(capsys, "verify", "--gallery", "case42")
     assert code == 2

@@ -1,8 +1,8 @@
 """Golden digests of the exact CLI outputs.
 
 The sha256 of every exact JSON document the CLI prints for the nine
-gallery systems, the thirteen census witnesses and the four catalog paths
-is frozen here, so a refactor of the exact core must reproduce each
+gallery systems, the thirteen census witnesses, the four catalog paths and
+four paths with irrational roots is frozen here, so a refactor of the exact core must reproduce each
 document byte for byte.  Portrait SVGs are not frozen: their coordinates
 come from floating-point integration and depend on the platform's libm.
 
@@ -47,6 +47,22 @@ SYSTEM_COMMANDS = {
 }
 
 
+#: ``sweep`` paths whose roots are irrational, so the JSON prints each root's
+#: 2**-64 bracket: a concave determinant quadratic (c2 < 0), two bracketed
+#: exchanges on one path, a root left of an interior vertex, and a root right
+#: of the vertex, whose bracket grid starts at the vertex and is not dyadic.
+IRRATIONAL_SWEEPS: Dict[str, List[str]] = {
+    "irrational-concave": ["--b", "2,4", "--a", "3/4,11/2,1/2,5/2",
+                           "--end-b", "2,5/2", "--end-a", "4,10,9,1"],
+    "irrational-two-exchanges": ["--b", "3,1", "--a", "10,7,5/4,2",
+                                 "--end-b", "11,2", "--end-a", "1/4,7/4,7,5"],
+    "irrational-left-of-vertex": ["--b", "11/3,6", "--a", "5/3,1/4,1,4",
+                                  "--end-b", "1,2", "--end-a", "3/2,4,6,7/4"],
+    "irrational-right-of-vertex": ["--b", "2,1", "--a", "5,1/3,3/2,3/4",
+                                   "--end-b", "5,7/2", "--end-a", "11/2,5/2,5,6"],
+}
+
+
 def invocations() -> Dict[Tuple[str, str], List[str]]:
     out = {(command, case): argv + system_args(params)
            for command, argv in SYSTEM_COMMANDS.items()
@@ -55,6 +71,8 @@ def invocations() -> Dict[Tuple[str, str], List[str]]:
         out[("sweep", entry.label)] = (
             ["sweep", "--json"] + system_args(entry.path.start)
             + system_args(entry.path.end, "--end-b", "--end-a"))
+    for label, args in IRRATIONAL_SWEEPS.items():
+        out[("sweep", label)] = ["sweep", "--json"] + args
     return out
 
 
@@ -137,6 +155,10 @@ GOLDEN: Dict[str, str] = {
     "sweep coexistence-to-axis1-dominance": "7481e2646f150ff94aab0027332f55f8526f634dfd4dd14938d06dd32d67c67d",
     "sweep bistability-to-axis2-dominance": "f1cbb1467f427f9889547948a983da6a9bce37bb3f9f0699a5d3e034e7568122",
     "sweep bistability-to-axis1-dominance": "7edefff4304b78f8649444d1080ef818926d882ca5aaa7cb39804fa5044dc817",
+    "sweep irrational-concave": "734213c4ab31772a319687397297c2247084c7fb71f4cd84bee582499c423af7",
+    "sweep irrational-two-exchanges": "d08cc2bda3670d851227886a4a96583c157587127915533d43d82da06c607f40",
+    "sweep irrational-left-of-vertex": "b5576aba6135462df60b2e57daffd6ba5afcece9a92bfed117cf2e11aa26eddb",
+    "sweep irrational-right-of-vertex": "4cdd7cb0ac531b248e4ee9b0803585dc248182ec89d4e42deec3c44d4f7be2df",
 }
 
 INVOCATIONS = invocations()

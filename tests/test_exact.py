@@ -131,6 +131,25 @@ def test_surd_sign_matches_float(p, q, branch):
     assert s.to_float() == pytest.approx(value)
 
 
+@given(rationals, rationals, rationals.filter(lambda r: r != 0), st.sampled_from([-1, 1]))
+def test_surd_floor_brackets_the_value_exactly(p, q, r, branch):
+    s = QuadraticSurd(p, abs(q), r, branch=branch)
+    k = math.floor(s)
+    # s - j = (p - j*r + branch*sqrt(q)) / r, signed exactly.
+    assert QuadraticSurd(p - k * r, abs(q), r, branch=branch).sign() >= 0
+    assert QuadraticSurd(p - (k + 1) * r, abs(q), r, branch=branch).sign() < 0
+    if s.as_rational() is not None:
+        assert k == math.floor(s.as_rational())
+
+
+def test_surd_floor_known_values():
+    assert math.floor(QuadraticSurd(Fraction(-4), Fraction(8), Fraction(2))) == -1
+    assert math.floor(QuadraticSurd(Fraction(-4), Fraction(8), Fraction(2), branch=-1)) == -4
+    assert math.floor(QuadraticSurd(Fraction(1), Fraction(4), Fraction(1), branch=-1)) == -1
+    with pytest.raises(ValueError):
+        math.floor(QuadraticSurd(Fraction(1), Fraction(-4), Fraction(1)))
+
+
 @given(rationals)
 def test_exact_helpers_on_rationals(x):
     assert exact_real_part_sign(x) is sign_of(x)

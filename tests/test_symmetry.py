@@ -8,7 +8,8 @@ multiplies each determinant by a positive factor.  Neither property
 depends on a frozen table, so both check the classifier, the equilibrium
 finder, the sign-condition predicates and the path scanner against the
 model itself.  The swap also checks the wedge sampler, whose NEAR_AXIS1
-side must be the mirror image of the NEAR_AXIS2 side.
+side must be the mirror image of the NEAR_AXIS2 side, the two Lyapunov
+constructions, and the probe verdicts on the gallery systems.
 """
 
 from __future__ import annotations
@@ -24,7 +25,12 @@ from lvcompete import (
     Equilibrium,
     EquilibriumKind,
     EquilibriumLine,
+    LyapunovTarget,
+    NotApplicable,
     ParameterPath,
+    PORTRAIT_GALLERY,
+    ProbeProtocol,
+    ProbeScope,
     Sign,
     SystemParams,
     WedgeSide,
@@ -32,9 +38,11 @@ from lvcompete import (
     classify,
     compute_determinants,
     cross_check_theorems,
+    empirical_stability,
     feasible_sign_triples,
     find_equilibria,
     four_case_catalog,
+    lyapunov_verify,
     nullcline_wedge,
     sample_params,
     scan_path,
@@ -205,6 +213,56 @@ def test_swap_mirrors_the_wedge_samples(p, radius, count, transverse_sign):
     assert (mirrored is None) == (points is None)
     if points is not None:
         assert [(x2, x1) for x1, x2 in mirrored] == points
+
+
+def lyapunov_or_none(p: SystemParams, which: LyapunovTarget):
+    try:
+        return lyapunov_verify(p, which, sample_count=50)
+    except NotApplicable:
+        return None
+
+
+@PROFILE
+@given(systems)
+def test_swap_trades_the_lyapunov_constructions(p):
+    """V = x1**a22 * x2**(-a12) for d122 = 0 is the mirror image of
+    V = x1**(-a21) * x2**a11 for d112 = 0, so each check on p and the other
+    on the swapped system apply together and reach the same result."""
+    for which, mirrored_which in ((LyapunovTarget.FOR_AXIS1, LyapunovTarget.FOR_AXIS2),
+                                  (LyapunovTarget.FOR_AXIS2, LyapunovTarget.FOR_AXIS1)):
+        check, twin = lyapunov_or_none(p, which), lyapunov_or_none(swap(p), mirrored_which)
+        assert (twin is None) == (check is None)
+        if check is not None:
+            assert twin.d12_sign is check.d12_sign
+            assert twin.passed() == check.passed()
+            assert twin.exponents == check.exponents[::-1]
+
+
+def probe_targets(p: SystemParams):
+    """Every isolated quadrant equilibrium, plus both ends and the midpoint
+    of a line of equilibria, keyed by position."""
+    targets = []
+    for entry in find_equilibria(p):
+        if isinstance(entry, Equilibrium):
+            targets.append(entry)
+        else:
+            mid = (entry.alpha_min + entry.alpha_max) / 2
+            targets.extend(entry.member(a) for a in (entry.alpha_min, mid, entry.alpha_max))
+    return {eq.position: eq for eq in targets}
+
+
+@pytest.mark.parametrize("scope", list(ProbeScope), ids=lambda s: s.value)
+@pytest.mark.parametrize("label", list(PORTRAIT_GALLERY))
+def test_swap_keeps_the_probe_verdicts(label, scope):
+    p = PORTRAIT_GALLERY[label].params
+    protocol = ProbeProtocol(probe_count=8, scope=scope)
+    targets, mirrored = probe_targets(p), probe_targets(swap(p))
+    assert set(mirrored) == {(x2, x1) for x1, x2 in targets}
+    for (x1, x2), eq in targets.items():
+        twin = mirrored[(x2, x1)]
+        assert twin.kind is KIND_SWAP[eq.kind]
+        assert empirical_stability(swap(p), twin, protocol).verdict is \
+            empirical_stability(p, eq, protocol).verdict
 
 
 # ---------------------------------------------------------------------------

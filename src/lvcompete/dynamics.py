@@ -537,78 +537,52 @@ class NullclineSet:
                 "curves": [c.to_json_dict() for c in self.curves]}
 
 
-def _segment_signs(
-    params: SystemParams,
-    branch: NullclineBranch,
-    roots: List[Fraction],
-    residual_sign_at: Callable[[Fraction], Sign],
-) -> NullclineCurve:
-    points = sorted({Fraction(0), *[r for r in roots if r > 0]})
-    spans: List[Tuple[Fraction, Optional[Fraction]]] = []
-    for lo, hi in zip(points, points[1:]):
-        spans.append((lo, hi))
-    spans.append((points[-1], None))
-
-    vertical = branch in _VERTICAL_FLOW
-    segments = []
-    for lo, hi in spans:
-        mid = (lo + hi) / 2 if hi is not None else lo + 1
-        s = residual_sign_at(mid)
-        if s is Sign.ZERO:
-            direction = Direction.STATIONARY
-        elif vertical:
-            direction = Direction.UP if s is Sign.POS else Direction.DOWN
-        else:
-            direction = Direction.RIGHT if s is Sign.POS else Direction.LEFT
-        segments.append(NullclineSegment(lo=lo, hi=hi, direction=direction))
-    return NullclineCurve(params=params, branch=branch,
-                          breakpoints=tuple(points), segments=tuple(segments))
-
-
 def nullclines(params: SystemParams) -> NullclineSet:
     """All four nullcline branches with exact breakpoints and crossing tags.
 
-    Tags come from the sign of the non-vanishing field component with the
-    curve equation substituted in, evaluated exactly at rational segment
-    midpoints — never from floating point, and never from a case table.
+    Each branch is given once, as linear factors m*v + c in its parameter v
+    whose product has, for v > 0, the sign of the field component that
+    crosses it.  The breakpoints are the factors' positive roots, and a
+    segment's tag is the product of the factors' exact signs just to the
+    right of its lower end: never from floating point, and never from a case
+    table.
     """
     p = params
     d = compute_determinants(params)
-
-    # x1 = 0 (x2 parametrizes): residual is x2' = x2*(b2 - a22*x2).
-    vertical_axis = _segment_signs(
-        params, NullclineBranch.VERTICAL_AXIS,
-        [p.b2 / p.a22],
-        lambda v: sign_of(v * (p.b2 - p.a22 * v)),
+    branches = (
+        # x1 = 0 (x2 parametrizes): x2' = x2*(b2 - a22*x2).
+        (NullclineBranch.VERTICAL_AXIS, [(-p.a22, p.b2)]),
+        # x2 = (b1 - a11*x1)/a12: substitution gives
+        # x2' = x2*(d12*x1 + d122)/a12 with x2 = (b1 - a11*x1)/a12.
+        (NullclineBranch.OBLIQUE_X1, [(-p.a11, p.b1), (d.d12, d.d122)]),
+        # x2 = 0: x1' = x1*(b1 - a11*x1).
+        (NullclineBranch.HORIZONTAL_AXIS, [(-p.a11, p.b1)]),
+        # x2 = (b2 - a21*x1)/a22: substitution gives
+        # x1' = -x1*(d12*x1 + d122)/a22.
+        (NullclineBranch.OBLIQUE_X2, [(-d.d12, -d.d122)]),
     )
-    # x2 = 0: residual is x1' = x1*(b1 - a11*x1).
-    horizontal_axis = _segment_signs(
-        params, NullclineBranch.HORIZONTAL_AXIS,
-        [p.b1 / p.a11],
-        lambda v: sign_of(v * (p.b1 - p.a11 * v)),
-    )
-    # x2 = (b1 - a11*x1)/a12: substitution gives
-    # x2' = x2*(d12*x1 + d122)/a12 with x2 = (b1 - a11*x1)/a12.
-    oblique1_roots = [p.b1 / p.a11]
-    if d.d12 != 0:
-        oblique1_roots.append(-d.d122 / d.d12)
-    oblique_x1 = _segment_signs(
-        params, NullclineBranch.OBLIQUE_X1,
-        oblique1_roots,
-        lambda v: sign_of((p.b1 - p.a11 * v) / p.a12 * (d.d12 * v + d.d122) / p.a12),
-    )
-    # x2 = (b2 - a21*x1)/a22: substitution gives
-    # x1' = -x1*(d12*x1 + d122)/a22.
-    oblique2_roots: List[Fraction] = []
-    if d.d12 != 0:
-        oblique2_roots.append(-d.d122 / d.d12)
-    oblique_x2 = _segment_signs(
-        params, NullclineBranch.OBLIQUE_X2,
-        oblique2_roots,
-        lambda v: sign_of(-v * (d.d12 * v + d.d122) / p.a22),
-    )
-    return NullclineSet(params=params,
-                        curves=(vertical_axis, oblique_x1, horizontal_axis, oblique_x2))
+    curves = []
+    for branch, factors in branches:
+        points = sorted({Fraction(0), *(-c / m for m, c in factors if m * c < 0)})
+        vertical = branch in _VERTICAL_FLOW
+        segments = []
+        for lo, hi in zip(points, [*points[1:], None]):
+            # No factor changes sign inside the segment, so its sign there is
+            # the sign just to the right of lo: that of m*lo + c, or of m
+            # where lo is the factor's root.
+            s = 1
+            for m, c in factors:
+                s *= sign_of(m * lo + c) or sign_of(m)
+            if s == 0:
+                direction = Direction.STATIONARY
+            elif vertical:
+                direction = Direction.UP if s > 0 else Direction.DOWN
+            else:
+                direction = Direction.RIGHT if s > 0 else Direction.LEFT
+            segments.append(NullclineSegment(lo=lo, hi=hi, direction=direction))
+        curves.append(NullclineCurve(params=params, branch=branch,
+                                     breakpoints=tuple(points), segments=tuple(segments)))
+    return NullclineSet(params=params, curves=tuple(curves))
 
 
 # ---------------------------------------------------------------------------
@@ -766,18 +740,22 @@ def lyapunov_verify(
     routes to dV/dt are compared at every sample: the closed form, and a
     complex-step gradient of the V closure dotted with the vector field.
     The sign of dV/dt must equal -sign(d12) throughout the open quadrant.
-    The ``sample_count`` points fill the fixed box (0.1, 5)^2
+    The ``sample_count`` points, at least one, fill the fixed box (0.1, 5)^2
     (``_LYAPUNOV_BOX``); ``seed`` offsets the quasi-random sequence.
     """
+    if sample_count < 1:
+        raise ValueError(f"sample_count must be at least 1, got {sample_count}")
     d = compute_determinants(params)
+    # dV/dt is -d12*V*x1 for the axis-2 candidate and -d12*V*x2 for the
+    # axis-1 one: (s1, s2) is the extra power of x1 and x2 in the closed form.
     if which is LyapunovTarget.FOR_AXIS2:
-        if d.d122 != 0:
-            raise NotApplicable(f"axis-2 construction requires d122 = 0, got {d.d122}")
-        p_exp, q_exp = params.a22, -params.a12
+        rule, minor = "axis-2 construction requires d122", d.d122
+        p_exp, q_exp, s1, s2 = params.a22, -params.a12, 1.0, 0.0
     else:
-        if d.d112 != 0:
-            raise NotApplicable(f"axis-1 construction requires d112 = 0, got {d.d112}")
-        p_exp, q_exp = -params.a21, params.a11
+        rule, minor = "axis-1 construction requires d112", d.d112
+        p_exp, q_exp, s1, s2 = -params.a21, params.a11, 0.0, 1.0
+    if minor != 0:
+        raise NotApplicable(f"{rule} = 0, got {minor}")
 
     lo, hi = _LYAPUNOV_BOX
     pf, qf = float(p_exp), float(q_exp)
@@ -797,10 +775,7 @@ def lyapunov_verify(
         x1 = lo + u * (hi - lo)
         x2 = lo + w * (hi - lo)
         v = math.exp(pf * math.log(x1) + qf * math.log(x2))
-        if which is LyapunovTarget.FOR_AXIS2:
-            vdot_closed = -d12f * math.exp((pf + 1.0) * math.log(x1) + qf * math.log(x2))
-        else:
-            vdot_closed = -d12f * math.exp(pf * math.log(x1) + (qf + 1.0) * math.log(x2))
+        vdot_closed = -d12f * math.exp((pf + s1) * math.log(x1) + (qf + s2) * math.log(x2))
         dv1 = v_closure(complex(x1, h), complex(x2, 0.0)).imag / h
         dv2 = v_closure(complex(x1, 0.0), complex(x2, h)).imag / h
         f1, f2 = f((x1, x2))
@@ -810,8 +785,7 @@ def lyapunov_verify(
         # against zero.
         scale = max(abs(vdot_closed), abs(dv1 * f1) + abs(dv2 * f2), 1e-300)
         gap = abs(vdot_chain - vdot_closed) / scale
-        sample_sign = Sign.POS if vdot_closed > 0 else Sign.NEG if vdot_closed < 0 else Sign.ZERO
-        sign_ok = sample_sign is expected_sign
+        sign_ok = sign_of(vdot_closed) is expected_sign
         max_gap = max(max_gap, gap)
         all_signs = all_signs and sign_ok
         all_positive = all_positive and v > 0
@@ -989,11 +963,9 @@ def _wedge_starts(
     d = compute_determinants(params)
     if d.d12 <= 0:
         return []
-    if (eq.kind is EquilibriumKind.AXIS2 or eq.coincides_with is EquilibriumKind.AXIS2) \
-            and d.d122 == 0:
+    if eq.kind is EquilibriumKind.AXIS2 and d.d122 == 0:
         side = WedgeSide.NEAR_AXIS2
-    elif (eq.kind is EquilibriumKind.AXIS1 or eq.coincides_with is EquilibriumKind.AXIS1) \
-            and d.d112 == 0:
+    elif eq.kind is EquilibriumKind.AXIS1 and d.d112 == 0:
         side = WedgeSide.NEAR_AXIS1
     else:
         return []

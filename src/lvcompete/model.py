@@ -87,10 +87,12 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         for name in _PARAM_NAMES:
-            value = as_fraction(getattr(self, name))
-            if value <= 0:
+            value = getattr(self, name)
+            if type(value) is not Fraction:
+                value = as_fraction(value)
+                object.__setattr__(self, name, value)
+            if value.numerator <= 0:
                 raise ParameterError(f"{name} must be positive (got {value})")
-            object.__setattr__(self, name, value)
 
     @classmethod
     def from_pairs(

@@ -530,6 +530,11 @@ def test_monomial_certificate_for_the_contested_axis(gallery_params):
     assert check.all_signs_match and check.all_positive
     assert check.passed()
     assert all(s.vdot_closed < 0 for s in check.samples)
+    # Without samples there is nothing to check, not a vacuous pass.
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="sample_count must be at least 1"):
+            lyapunov_verify(gallery_params["case2"], LyapunovTarget.FOR_AXIS2,
+                            sample_count=count)
 
 
 def test_mirror_certificate_for_axis1(gallery_params):

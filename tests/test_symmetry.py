@@ -9,7 +9,9 @@ depends on a frozen table, so both check the classifier, the equilibrium
 finder, the sign-condition predicates and the path scanner against the
 model itself.  The swap also checks the wedge sampler, whose NEAR_AXIS1
 side must be the mirror image of the NEAR_AXIS2 side, the two Lyapunov
-constructions, and the probe verdicts on the gallery systems.
+constructions, the probe verdicts on the gallery systems and the axis
+nullclines; the rescalings check the breakpoints and tags of all four
+nullcline branches.
 """
 
 from __future__ import annotations
@@ -22,11 +24,13 @@ from hypothesis import strategies as st
 
 from lvcompete import (
     DeterminantTriple,
+    Direction,
     Equilibrium,
     EquilibriumKind,
     EquilibriumLine,
     LyapunovTarget,
     NotApplicable,
+    NullclineBranch,
     ParameterPath,
     PORTRAIT_GALLERY,
     ProbeProtocol,
@@ -44,6 +48,7 @@ from lvcompete import (
     four_case_catalog,
     lyapunov_verify,
     nullcline_wedge,
+    nullclines,
     sample_params,
     scan_path,
     thm_axis1_asymptotically_stable,
@@ -61,6 +66,9 @@ SERIAL_SWAP = {1: 1, 2: 4, 3: 5, 4: 2, 5: 3, 6: 7, 7: 6, 8: 8, 9: 9}
 KIND_SWAP = {K.ORIGIN: K.ORIGIN, K.AXIS1: K.AXIS2, K.AXIS2: K.AXIS1,
              K.INTERIOR: K.INTERIOR, K.LINE_MEMBER: K.LINE_MEMBER}
 WHICH_SWAP = {W.D12: W.D12, W.D112: W.D122, W.D122: W.D112}
+TAG_SWAP = {Direction.UP: Direction.RIGHT, Direction.RIGHT: Direction.UP,
+            Direction.DOWN: Direction.LEFT, Direction.LEFT: Direction.DOWN,
+            Direction.STATIONARY: Direction.STATIONARY}
 
 PROFILE = settings(max_examples=150)
 
@@ -238,6 +246,24 @@ def test_swap_trades_the_lyapunov_constructions(p):
             assert twin.exponents == check.exponents[::-1]
 
 
+def segment_table(curve, tag=lambda direction: direction):
+    return [(s.lo, s.hi, tag(s.direction)) for s in curve.segments]
+
+
+@PROFILE
+@given(systems)
+def test_swap_trades_the_axis_nullclines(p):
+    """The vertical axis of the swapped system is the horizontal axis of p,
+    with the same breakpoints; the flow that crosses one upward crosses
+    the other rightward."""
+    ns, mirrored = nullclines(p), nullclines(swap(p))
+    for branch, twin_branch in ((NullclineBranch.VERTICAL_AXIS, NullclineBranch.HORIZONTAL_AXIS),
+                                (NullclineBranch.HORIZONTAL_AXIS, NullclineBranch.VERTICAL_AXIS)):
+        curve, twin = ns.curve(branch), mirrored.curve(twin_branch)
+        assert twin.breakpoints == curve.breakpoints
+        assert segment_table(twin, TAG_SWAP.get) == segment_table(curve)
+
+
 def probe_targets(p: SystemParams):
     """Every isolated quadrant equilibrium, plus both ends and the midpoint
     of a line of equilibria, keyed by position."""
@@ -288,3 +314,18 @@ def test_positive_rescaling_keeps_signs_and_verdicts(p, factor, rescale):
     assert scaled.portrait_class_full == report.portrait_class_full
     assert scaled.portrait_class_quadrant == report.portrait_class_quadrant
     assert scaled.verdicts == report.verdicts
+
+
+@PROFILE
+@given(systems, positive_factors, st.sampled_from([scale_interactions, scale_all]))
+def test_positive_rescaling_divides_the_nullcline_breakpoints(p, factor, rescale):
+    """Scaling the a_ij by c divides every root b_i/a_ii and -d122/d12 by c,
+    and scaling all six parameters keeps them; either way each factor that
+    decides a tag only gains a positive multiple, so every tag stays."""
+    c = factor if rescale is scale_interactions else 1
+    ns, scaled = nullclines(p), nullclines(rescale(p, factor))
+    for curve, twin in zip(ns.curves, scaled.curves):
+        assert twin.branch is curve.branch
+        assert twin.breakpoints == tuple(b / c for b in curve.breakpoints)
+        assert segment_table(twin) == [(lo / c, None if hi is None else hi / c, tag)
+                                       for lo, hi, tag in segment_table(curve)]

@@ -4,10 +4,10 @@ Move the six parameters affinely from one positive configuration to
 another and every one of the three classifying determinants becomes an
 exact quadratic polynomial in the path coordinate s.  Everything here is
 exact arithmetic: a root is either a fraction or the quadratic surd
-vertex +- sqrt(q) of its determinant, compared and signed exactly, so no
-event can be missed, merged or invented by floating-point noise.  The JSON
-prints an irrational root as its cell of the 2**-64 grid that bisection of
-its monotone piece would end in.
+vertex +- sqrt(q) of its determinant, ordered and signed exactly, so no
+event can be missed, merged, reordered or invented by floating-point
+noise.  The JSON prints an irrational root as its cell of the 2**-64 grid
+that bisection of its monotone piece would end in.
 
 A root of a minor determinant (with d12 != 0 there) is a transcritical
 exchange: the interior equilibrium passes through an axis equilibrium and
@@ -15,20 +15,24 @@ the two trade their full-plane stability classes.  A root of d12 alone
 sends the interior point to infinity and merely renumbers the sign case.
 All three vanishing together produces the degenerate line of equilibria.
 A double root that touches zero without crossing changes nothing on
-either side.
+either side.  Nothing is sampled beside a root: the determinants' signs on
+either side, and from them the serials and the classes the colliding pair
+trades, follow from exact signs at the root itself.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .exact import QuadraticSurd, Sign, sign_of
+from .exact import ExactNumber, QuadraticSurd, Sign, exact_compare, sign_of
 from .model import SignCase, SystemParams, compute_determinants, sign_case
-from .equilibria import Equilibrium, EquilibriumKind, find_equilibria
+from .equilibria import EquilibriumKind
 from .classifier import linearization_verdict
 
 __all__ = [
@@ -139,16 +143,13 @@ class PathRoot:
         return (lo + hi) / 2
 
     @property
-    def _surd(self) -> QuadraticSurd:
-        """The irrational root exactly, on its bracket's side of the vertex."""
+    def value(self) -> ExactNumber:
+        """The root exactly: its fraction, or the surd on its bracket's side
+        of the vertex.  A rational root never equals an irrational one."""
+        if self.exact is not None:
+            return self.exact
         right = _root_surd(self.poly, 1)
         return right if self.bracket[0] >= right.p else replace(right, branch=-1)
-
-    def same_location(self, other: "PathRoot") -> bool:
-        if self.exact is None and other.exact is None:
-            return self._surd == other._surd
-        # A rational root can never coincide with an irrational one.
-        return self.exact == other.exact
 
     def to_json_dict(self) -> dict:
         return {
@@ -258,10 +259,6 @@ class BifurcationEvent:
     swap: Optional[SwapSummary] = None
     trace_condition_held: Optional[bool] = None
 
-    @property
-    def s_star(self) -> float:
-        return self.root.approx
-
     def to_json_dict(self) -> dict:
         return {
             "root": self.root.to_json_dict(),
@@ -324,83 +321,65 @@ def _sign_at_root(poly: QuadraticPoly, root: PathRoot) -> Sign:
     At s = u + t*sqrt(q), c0 + c1*s + c2*s**2 = A + B*sqrt(q) with
     A = c0 + c1*u + c2*(u**2 + q) and B = t*(c1 + 2*c2*u).
     """
-    if root.exact is not None:
-        return sign_of(poly(root.exact))
-    surd = root._surd
+    surd = root.value
+    if not isinstance(surd, QuadraticSurd):
+        return sign_of(poly(surd))
     u, q = surd.p, surd.q
     a = poly.c0 + poly.c1 * u + poly.c2 * (u * u + q)
     b = surd.branch * (poly.c1 + 2 * poly.c2 * u)
     return QuadraticSurd(p=a, q=b * b * q, r=Fraction(1), branch=1 if b >= 0 else -1).sign()
 
 
-def _side_classes(
-    params: SystemParams, axis_kind: EquilibriumKind
-) -> Tuple[Optional[str], Optional[str]]:
-    """Full-plane classes of the axis and interior equilibria, as the
-    verdict strings a SwapSummary compares ("degenerate" if non-hyperbolic)."""
-    classes: Dict[EquilibriumKind, str] = {}
-    for eq in find_equilibria(params, include_off_quadrant=True):
-        if isinstance(eq, Equilibrium) and eq.kind in (axis_kind, EquilibriumKind.INTERIOR):
-            verdict = linearization_verdict(eq)
-            classes[eq.kind] = "degenerate" if verdict is None else verdict.value
-    return classes.get(axis_kind), classes.get(EquilibriumKind.INTERIOR)
+def _signs_beside(poly: QuadraticPoly, root: PathRoot) -> Tuple[Sign, Sign, Sign]:
+    """Exact signs of a determinant just before, at and just after a root.
+    One that vanishes there has -+ the sign of its slope c1 + 2*c2*s beside a
+    simple root and the sign of c2 beside a double one; any other keeps its sign."""
+    at = _sign_at_root(poly, root)
+    if at is not Sign.ZERO or poly.is_identically_zero:
+        return at, at, at
+    slope = _sign_at_root(QuadraticPoly(c0=poly.c1, c1=2 * poly.c2, c2=Fraction(0)), root)
+    if slope is Sign.ZERO:
+        return sign_of(poly.c2), at, sign_of(poly.c2)
+    return Sign(-slope), at, slope
+
+
+def _classes_beside(which: WhichDeterminant, signs: Tuple[Sign, Sign, Sign]) -> Tuple[str, str]:
+    """Full-plane classes of the colliding axis and interior equilibria beside
+    the collision, from the nonzero signs of (d12, d112, d122) there.  The axis
+    eigenvalues are (-b1, d112/a11) or (-d122/a22, -b2); the interior Jacobian
+    has determinant -d112*d122/d12 and a trace that tends to -b1 or -b2."""
+    s12, s112, s122 = signs
+    axis = (Sign.NEG, s112) if which is WhichDeterminant.D112 else (Sign(-s122), Sign.NEG)
+    interior = (Sign.NEG, Sign(s12 * s112 * s122))
+    return linearization_verdict(*axis).value, linearization_verdict(*interior).value
 
 
 def scan_path(path: ParameterPath) -> PathScan:
     """Find and classify every determinant zero along the open path.
 
     Roots at s = 0 or s = 1 exactly are not events: there is no sign change
-    inside the domain.  Co-located roots are grouped by exact equality of
-    their fractions or surds — three determinants vanishing together is
-    the degenerate-line event.  Side samples for the before/after analysis
-    sit at s* +- min(gap to the nearest other event or endpoint, 1/1024)/2,
-    close enough that no further root can slip between sample and event,
-    and never inside the event's bracket.
+    inside the domain.  Roots are sorted by exact comparison and equal ones
+    form one event — three determinants vanishing together is the
+    degenerate-line event.  Only the collision point evaluates the path.
     """
     polys = determinant_polys(path)
     identically_zero = frozenset(w for w, p in polys.items() if p.is_identically_zero)
 
-    located: List[Tuple[WhichDeterminant, PathRoot]] = []
-    for which, poly in polys.items():
-        for root in _roots_in_open_unit_interval(poly):
-            located.append((which, root))
-
-    # Group co-located roots.
-    groups: List[List[Tuple[WhichDeterminant, PathRoot]]] = []
-    for which, root in sorted(located, key=lambda wr: wr[1].approx):
-        for group in groups:
-            if group[0][1].same_location(root):
-                group.append((which, root))
-                break
-        else:
-            groups.append([(which, root)])
-
-    # Conservative exact gaps between neighboring groups (and the endpoints)
-    # for side-sample placement.  Co-located roots are equal, and equal surds
-    # get equal brackets, so a group's hull is that of its first root.
-    hulls = [g[0][1].bracket or (g[0][1].exact, g[0][1].exact) for g in groups]
+    located = [(root.value, which, root)
+               for which, poly in polys.items()
+               for root in _roots_in_open_unit_interval(poly)]
+    located.sort(key=cmp_to_key(lambda x, y: exact_compare(x[0], y[0])))
     events: List[BifurcationEvent] = []
-    for idx, group in enumerate(groups):
-        lo, hi = hulls[idx]
-        gap = min(lo - (hulls[idx - 1][1] if idx > 0 else Fraction(0)),
-                  (hulls[idx + 1][0] if idx + 1 < len(hulls) else Fraction(1)) - hi)
-        delta = min(gap, Fraction(1, 1024)) / 2
+    # An irrational root has one form vertex +- sqrt(q), so equal roots are ==.
+    for _, run in itertools.groupby(located, key=lambda x: x[0]):
+        group = [(which, root) for _, which, root in run]
         primary = group[0][1]
         vanishing = frozenset(w for w, _ in group) | identically_zero
         ordered = tuple(sorted(vanishing, key=lambda w: w.value))
-
-        s_rep = primary.representative
-        s_left, s_right = min(s_rep - delta, lo), max(s_rep + delta, hi)
-        before = compute_determinants(path.at(s_left))
-        after = compute_determinants(path.at(s_right))
-        case_before = sign_case(before)
-        case_after = sign_case(after)
-
-        at_signs = tuple(
-            Sign.ZERO if w in vanishing else _sign_at_root(polys[w], primary)
+        before, at_signs, after = zip(*(
+            _signs_beside(polys[w], primary)
             for w in (WhichDeterminant.D12, WhichDeterminant.D112, WhichDeterminant.D122)
-        )
-        case_at = sign_case(at_signs)
+        ))
 
         if len(vanishing) == 3:
             kind = EventKind.DEGENERATE_LINE
@@ -427,7 +406,7 @@ def scan_path(path: ParameterPath) -> PathScan:
             axis_kind = (EquilibriumKind.AXIS2 if which is WhichDeterminant.D122
                          else EquilibriumKind.AXIS1)
             colliding_pair = (EquilibriumKind.INTERIOR, axis_kind)
-            params_star = path.at(s_rep)
+            params_star = path.at(primary.representative)
             if axis_kind is EquilibriumKind.AXIS2:
                 collision_point = (Fraction(0), params_star.b2 / params_star.a22)
             else:
@@ -435,19 +414,18 @@ def scan_path(path: ParameterPath) -> PathScan:
             trace_value = (params_star.a11 * collision_point[0]
                            + params_star.a22 * collision_point[1])
             trace_held = trace_value > 0
-            axis_b, int_b = _side_classes(path.at(s_left), axis_kind)
-            axis_a, int_a = _side_classes(path.at(s_right), axis_kind)
-            if None not in (axis_b, int_b, axis_a, int_a):
-                swap = SwapSummary(axis_before=axis_b, interior_before=int_b,
-                                   axis_after=axis_a, interior_after=int_a)
+            axis_b, int_b = _classes_beside(which, before)
+            axis_a, int_a = _classes_beside(which, after)
+            swap = SwapSummary(axis_before=axis_b, interior_before=int_b,
+                               axis_after=axis_a, interior_after=int_a)
 
         events.append(BifurcationEvent(
             root=primary,
             vanishing=ordered,
             kind=kind,
-            sign_case_at=case_at,
-            serial_before=case_before.table6_serial,
-            serial_after=case_after.table6_serial,
+            sign_case_at=sign_case(at_signs),
+            serial_before=sign_case(before).table6_serial,
+            serial_after=sign_case(after).table6_serial,
             colliding_pair=colliding_pair,
             collision_point=collision_point,
             swap=swap,

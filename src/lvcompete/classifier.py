@@ -213,10 +213,9 @@ def _same_both_scopes(verdict: Verdict, basis: Basis) -> ScopedVerdicts:
     )
 
 
-def linearization_verdict(eq: Equilibrium) -> Optional[Verdict]:
-    """Node or saddle from the exact eigenvalue real-part signs; None when
-    an eigenvalue has zero real part and linearization decides nothing."""
-    s1, s2 = eq.eigenvalues.realpart_signs
+def linearization_verdict(s1: Sign, s2: Sign) -> Optional[Verdict]:
+    """Node or saddle from the exact signs of the two eigenvalue real parts;
+    None when one is zero and linearization decides nothing."""
     if Sign.ZERO in (s1, s2):
         return None
     if s1 is Sign.NEG and s2 is Sign.NEG:
@@ -273,7 +272,7 @@ def classify(params: SystemParams) -> ClassificationReport:
             assert isinstance(eq, Equilibrium)
             if eq.kind is EquilibriumKind.ORIGIN:
                 continue
-            verdict = linearization_verdict(eq)
+            verdict = linearization_verdict(*eq.eigenvalues.realpart_signs)
             if verdict is not None:
                 verdicts[eq.kind] = _same_both_scopes(verdict, Basis.LINEARIZATION)
             else:

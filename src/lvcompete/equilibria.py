@@ -211,8 +211,8 @@ def find_equilibria(
     Returns ``[origin, axis1, axis2]`` plus the interior equilibrium when the
     oblique nullclines cross.  The crossing is included if it has strictly
     positive coordinates, or regardless of position when
-    ``include_off_quadrant`` is set (the bifurcation scan tracks it through
-    the axes).  When it lands exactly on an axis equilibrium (one minor zero,
+    ``include_off_quadrant`` is set (the probes keep clear of it wherever it
+    lies).  When it lands exactly on an axis equilibrium (one minor zero,
     ``d12 != 0``) it is not listed twice: the axis equilibrium is tagged with
     ``coincides_with=INTERIOR`` instead.  In the fully degenerate case the
     result is ``[origin, EquilibriumLine]``.

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 
 class Sign(IntEnum):
@@ -121,9 +121,7 @@ class QuadraticSurd:
     def __floor__(self) -> int:
         """Exact ``math.floor`` of a real surd: with p/r = a/c and q/r**2 = m/n it
         is floor((a*n + floor(branch*sqrt(c*c*m*n))) / (c*n))."""
-        if not self.is_real:
-            raise ValueError("floor of a complex surd")
-        offset, spread = self.p / self.r, self.q / (self.r * self.r)
+        offset, _, spread = _offset_spread(self)
         a, c, m, n = offset.numerator, offset.denominator, spread.numerator, spread.denominator
         root = math.isqrt(c * c * m * n)
         if self.branch < 0 and root * root != c * c * m * n:
@@ -145,6 +143,30 @@ class QuadraticSurd:
             "r": str(self.r),
             "branch": self.branch,
         }
+
+
+def _offset_spread(value: "ExactNumber") -> Tuple[Fraction, int, Fraction]:
+    """(u, t, q) with the real value = u + t*sqrt(q), q >= 0 and t = +-1."""
+    if not isinstance(value, QuadraticSurd):
+        return Fraction(value), 1, Fraction(0)
+    if not value.is_real:
+        raise ValueError("a complex surd has no floor or order")
+    return value.p / value.r, value.branch, value.q / (value.r * value.r)
+
+
+def exact_compare(a: "ExactNumber", b: "ExactNumber") -> Sign:
+    """Exact sign of a - b for real rationals or surds, in two squarings at most.
+
+    a - b = d + e with d = u1 - u2 and e = t1*sqrt(q1) - t2*sqrt(q2).  The
+    sign of e follows from q1 and q2; if d and e differ in sign, the sign of
+    d**2 - e**2 = d**2 - q1 - q2 + 2*t1*t2*sqrt(q1*q2) decides.
+    """
+    (u1, t1, q1), (u2, t2, q2) = _offset_spread(a), _offset_spread(b)
+    d = u1 - u2
+    d_sign, e_sign = sign_of(d), Sign(t1 * sign_of(q1 - q2 if t1 == t2 else q1 + q2))
+    if d_sign * e_sign >= 0:
+        return d_sign or e_sign
+    return Sign(d_sign * _sign_of_p_plus_t_root_q(d * d - q1 - q2, t1 * t2, 4 * q1 * q2))
 
 
 #: An exact eigenvalue: either rational or a quadratic surd.

@@ -64,9 +64,9 @@ def test_rational_and_irrational_roots_never_coincide():
     bracketed = PathRoot(poly=poly, exact=None,
                          bracket=(Fraction(1, 5), Fraction(1, 3)),
                          multiplicity=1, sign_change=True)
-    assert not rational.same_location(bracketed)
-    assert rational.same_location(rational)
-    assert bracketed.same_location(bracketed)
+    assert rational.value != bracketed.value
+    assert rational.value == rational.value
+    assert bracketed.value == bracketed.value
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +215,8 @@ def test_sign_at_root_shaves_a_bracket_that_straddles_the_spectator(spectator_ro
 def test_crossings_closer_than_the_bracket_width_stay_apart():
     """d122 = (s - 1/2)**2 - eps has the irrational roots 1/2 +- sqrt(eps),
     about 1.4e-20 from the vertex: both land in the 2**-64 cells that touch
-    at 1/2.  They are two exchanges, out of and back into bistability, and
-    the side samples of each sit outside its cell."""
+    at 1/2.  They are two exchanges, out of and back into bistability, each
+    with its own exact value and its own serials on either side."""
     eps = Fraction(2, 10 ** 40)
     path = ParameterPath(
         start=SystemParams.from_pairs((Fraction(3, 4) + eps, 1), ((1, 1), (1, 1))),
@@ -235,7 +235,42 @@ def test_crossings_closer_than_the_bracket_width_stay_apart():
         assert event.vanishing == (WhichDeterminant.D122,)
         assert event.root.bracket == bracket
         assert (event.serial_before, event.serial_after) == serials
-    assert not left.root.same_location(right.root)
+    assert left.root.value != right.root.value
+
+
+def test_roots_within_float_resolution_keep_their_exact_order():
+    """d122 = (s - 1/2)**2 - eps as above, and a21 = c moves the d112 root to
+    1/2 + delta and the d12 root just beyond it.  The four roots all print
+    as 0.5; only exact comparison orders them, and only then do the serials
+    chain."""
+    eps, delta = Fraction(2, 10 ** 40), Fraction(1, 10 ** 30)
+    c = (Fraction(3, 2) + delta) / (Fraction(9, 4) + eps + 3 * delta)
+    events = scan_path(ParameterPath(
+        start=SystemParams.from_pairs((Fraction(3, 4) + eps, 1), ((1, 1), (c, 1))),
+        end=SystemParams.from_pairs((Fraction(15, 4) + eps, 2), ((1, 2), (c, 1))),
+    )).events
+    assert [ev.vanishing for ev in events] == [(WhichDeterminant.D122,), (WhichDeterminant.D112,),
+                                              (WhichDeterminant.D12,), (WhichDeterminant.D122,)]
+    assert [(ev.serial_before, ev.serial_after) for ev in events] == [(3, 1), (1, 5), (5, 5), (5, 8)]
+    for event in events:
+        if event.kind is EventKind.TRANSCRITICAL:
+            assert event.swap.swapped
+
+
+def test_exchange_reads_the_interior_class_at_the_root():
+    """At the d112 root s ~ 0.00794 the interior trace changes sign less than
+    1/2048 before the root; next to the root the interior point is still the
+    stable node that the axis-1 saddle becomes."""
+    path = ParameterPath(
+        start=SystemParams.from_pairs((Fraction(1, 3), Fraction(3, 2)),
+                                      ((Fraction(11, 3), 1), (Fraction(77, 6), Fraction(7, 2)))),
+        end=SystemParams.from_pairs((12, Fraction(1, 2)),
+                                    ((Fraction(2, 3), 5), (Fraction(7, 2), 4))),
+    )
+    event = next(ev for ev in scan_path(path).events
+                 if ev.vanishing == (WhichDeterminant.D112,))
+    assert event.swap.interior_before == "stable node"
+    assert event.swap.swapped
 
 
 def test_constant_path_has_no_events():

@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lvcompete import (
+    ExactNumber,
     QuadraticSurd,
     Sign,
     exact_real_part_sign,
@@ -22,6 +23,7 @@ from lvcompete import (
     rational_sqrt,
     sign_of,
 )
+from lvcompete.exact import exact_compare
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
@@ -161,3 +163,49 @@ def test_exact_json_for_irrational_surd():
     s = QuadraticSurd(Fraction(-4), Fraction(8), Fraction(2))
     d = exact_to_json(s)
     assert d == {"p": "-4", "q": "8", "r": "2", "branch": 1}
+
+
+real_surds = st.builds(
+    lambda p, q, r, branch: QuadraticSurd(p, abs(q), r, branch=branch),
+    rationals, rationals, rationals.filter(lambda r: r != 0), st.sampled_from([-1, 1]),
+)
+exact_numbers = st.one_of(rationals, real_surds)
+
+
+def as_float(x: ExactNumber) -> float:
+    return x.to_float() if isinstance(x, QuadraticSurd) else float(x)
+
+
+@given(exact_numbers, exact_numbers)
+def test_exact_compare_is_antisymmetric(x, y):
+    assert exact_compare(x, y) is Sign(-exact_compare(y, x))
+
+
+@given(real_surds, st.integers(-9, 9).filter(lambda k: k != 0))
+def test_exact_compare_is_zero_exactly_for_equal_values(s, k):
+    # (k*p + branch*sqrt(k**2*q)) / (k*r) is the same number written otherwise.
+    twin = QuadraticSurd(k * s.p, k * k * s.q, k * s.r, branch=s.branch if k > 0 else -s.branch)
+    assert exact_compare(s, s) is Sign.ZERO
+    assert exact_compare(s, twin) is Sign.ZERO
+    rational = s.as_rational()
+    if rational is not None:
+        assert exact_compare(s, rational) is Sign.ZERO
+    else:
+        assert exact_compare(s, Fraction(s.to_float())) is not Sign.ZERO
+
+
+@given(exact_numbers, exact_numbers)
+def test_exact_compare_agrees_with_float_order(x, y):
+    fx, fy = as_float(x), as_float(y)
+    if abs(fx - fy) > 1e-9:
+        assert exact_compare(x, y) is (Sign.POS if fx > fy else Sign.NEG)
+
+
+def test_exact_compare_orders_roots_that_floats_tie():
+    # 1/2 -+ sqrt(2e-40) and 1/2 + 1e-30 all round to 0.5.
+    half, eps, delta = Fraction(1, 2), Fraction(2, 10 ** 40), Fraction(1, 10 ** 30)
+    low, high = (QuadraticSurd(half, eps, Fraction(1), branch=t) for t in (-1, 1))
+    assert low.to_float() == high.to_float() == float(half + delta) == 0.5
+    assert exact_compare(low, half + delta) is Sign.NEG
+    assert exact_compare(high, half + delta) is Sign.POS
+    assert exact_compare(low, high) is Sign.NEG

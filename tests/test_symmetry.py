@@ -51,6 +51,7 @@ from lvcompete import (
     nullclines,
     sample_params,
     scan_path,
+    sign_case,
     thm_axis1_asymptotically_stable,
     thm_axis1_unstable,
     thm_axis2_asymptotically_stable,
@@ -197,9 +198,44 @@ def test_swap_mirrors_path_scans(path):
     assert_scans_mirror(path)
 
 
-@pytest.mark.parametrize("entry", four_case_catalog(), ids=lambda e: e.label)
-def test_swap_mirrors_catalog_scans(entry):
-    assert_scans_mirror(entry.path)
+def float_tied_path() -> ParameterPath:
+    """Four roots within 1e-19 of s = 1/2, in the exact order d122, d112, d12, d122."""
+    eps, delta = Fraction(2, 10 ** 40), Fraction(1, 10 ** 30)
+    c = (Fraction(3, 2) + delta) / (Fraction(9, 4) + eps + 3 * delta)
+    return ParameterPath(
+        start=SystemParams.from_pairs((Fraction(3, 4) + eps, 1), ((1, 1), (c, 1))),
+        end=SystemParams.from_pairs((Fraction(15, 4) + eps, 2), ((1, 2), (c, 1))),
+    )
+
+
+@pytest.mark.parametrize("path", [pytest.param(e.path, id=e.label) for e in four_case_catalog()]
+                         + [pytest.param(float_tied_path(), id="float-tied-roots")])
+def test_swap_mirrors_catalog_scans(path):
+    assert_scans_mirror(path)
+
+
+@settings(max_examples=60)
+@given(paths)
+def test_scan_serials_chain_from_start_to_end(path):
+    """Each event starts in the portrait the previous one left, and the chain
+    begins and ends in the portraits of the path's end points unless a
+    determinant vanishes there."""
+    scan = scan_path(path)
+    events = scan.events
+    for event, following in zip(events, events[1:]):
+        assert event.serial_after == following.serial_before
+    start, end = (sign_case(compute_determinants(p)).table6_serial
+                  for p in (path.start, path.end))
+    clear_at_start, clear_at_end = (all(poly(s) != 0 for poly in scan.polys.values())
+                                    for s in (0, 1))
+    if not events:
+        if clear_at_start and clear_at_end:
+            assert start == end
+        return
+    if clear_at_start:
+        assert events[0].serial_before == start
+    if clear_at_end:
+        assert events[-1].serial_after == end
 
 
 def wedge_samples(p: SystemParams, side: WedgeSide, radius: Fraction, count: int,

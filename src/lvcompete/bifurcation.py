@@ -70,18 +70,19 @@ class ParameterPath:
         s = Fraction(s)
         if not 0 <= s <= 1:
             raise ValueError(f"path coordinate must lie in [0, 1], got {s}")
-
-        def lerp(u: Fraction, v: Fraction) -> Fraction:
-            return u + (v - u) * s
-
+        start, end = self.start, self.end
         return SystemParams(
-            b1=lerp(self.start.b1, self.end.b1),
-            b2=lerp(self.start.b2, self.end.b2),
-            a11=lerp(self.start.a11, self.end.a11),
-            a12=lerp(self.start.a12, self.end.a12),
-            a21=lerp(self.start.a21, self.end.a21),
-            a22=lerp(self.start.a22, self.end.a22),
+            b1=_lerp(start.b1, end.b1, s),
+            b2=_lerp(start.b2, end.b2, s),
+            a11=_lerp(start.a11, end.a11, s),
+            a12=_lerp(start.a12, end.a12, s),
+            a21=_lerp(start.a21, end.a21, s),
+            a22=_lerp(start.a22, end.a22, s),
         )
+
+
+def _lerp(u: Fraction, v: Fraction, s: Fraction) -> Fraction:
+    return u + (v - u) * s
 
 
 @dataclass(frozen=True)
@@ -257,6 +258,8 @@ class BifurcationEvent:
     colliding_pair: Optional[Tuple[EquilibriumKind, EquilibriumKind]] = None
     collision_point: Optional[Tuple[Fraction, Fraction]] = None
     swap: Optional[SwapSummary] = None
+    #: Whether a11*x1 + a22*x2 > 0 at the collision point: there it equals
+    #: b1 (or b2), so it is True on every exchange and None elsewhere.
     trace_condition_held: Optional[bool] = None
 
     def to_json_dict(self) -> dict:
@@ -360,7 +363,8 @@ def scan_path(path: ParameterPath) -> PathScan:
     Roots at s = 0 or s = 1 exactly are not events: there is no sign change
     inside the domain.  Roots are sorted by exact comparison and equal ones
     form one event — three determinants vanishing together is the
-    degenerate-line event.  Only the collision point evaluates the path.
+    degenerate-line event.  Only the collision point evaluates the path,
+    and only the two coordinates it needs.
     """
     polys = determinant_polys(path)
     identically_zero = frozenset(w for w, p in polys.items() if p.is_identically_zero)
@@ -398,22 +402,23 @@ def scan_path(path: ParameterPath) -> PathScan:
         else:
             kind = EventKind.TRANSCRITICAL
 
-        colliding_pair = collision_point = swap = None
-        trace_held = None
+        colliding_pair = collision_point = swap = trace_held = None
         if kind in (EventKind.TRANSCRITICAL, EventKind.TANGENTIAL_TOUCH) \
                 and vanishing != {WhichDeterminant.D12}:
             which = ordered[0]
             axis_kind = (EquilibriumKind.AXIS2 if which is WhichDeterminant.D122
                          else EquilibriumKind.AXIS1)
             colliding_pair = (EquilibriumKind.INTERIOR, axis_kind)
-            params_star = path.at(primary.representative)
+            s, start, end = primary.representative, path.start, path.end
             if axis_kind is EquilibriumKind.AXIS2:
-                collision_point = (Fraction(0), params_star.b2 / params_star.a22)
+                collision_point = (Fraction(0), _lerp(start.b2, end.b2, s)
+                                   / _lerp(start.a22, end.a22, s))
             else:
-                collision_point = (params_star.b1 / params_star.a11, Fraction(0))
-            trace_value = (params_star.a11 * collision_point[0]
-                           + params_star.a22 * collision_point[1])
-            trace_held = trace_value > 0
+                collision_point = (_lerp(start.b1, end.b1, s)
+                                   / _lerp(start.a11, end.a11, s), Fraction(0))
+            # The trace condition a11*x1 + a22*x2 > 0 at the collision point
+            # reads b1 > 0 (or b2 > 0) there: it holds on every positive path.
+            trace_held = True
             axis_b, int_b = _classes_beside(which, before)
             axis_a, int_a = _classes_beside(which, after)
             swap = SwapSummary(axis_before=axis_b, interior_before=int_b,

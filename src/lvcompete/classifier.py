@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
-from .exact import Sign
+from .exact import Sign, sign_of
 from .model import (
     DeterminantTriple,
     SignCase,
@@ -225,12 +224,12 @@ def linearization_verdict(s1: Sign, s2: Sign) -> Optional[Verdict]:
     return Verdict.SADDLE
 
 
-def _nonhyperbolic_axis_verdicts(d12: Fraction) -> ScopedVerdicts:
+def _nonhyperbolic_axis_verdicts(s12: Sign) -> ScopedVerdicts:
     # One eigenvalue is exactly zero.  The flow on the center direction is
     # quadratic with coefficient proportional to -d12, so the sign of d12
     # decides between one-side attraction (semi-stable on the plane, but
     # asymptotically stable as seen from the quadrant) and outright escape.
-    if d12 > 0:
+    if s12 > 0:
         return _both_scopes(
             StabilityClass(Verdict.SEMI_STABLE, Scope.FULL_NEIGHBORHOOD,
                            Basis.NULLCLINE_ARGUMENT),
@@ -276,7 +275,7 @@ def classify(params: SystemParams) -> ClassificationReport:
             if verdict is not None:
                 verdicts[eq.kind] = _same_both_scopes(verdict, Basis.LINEARIZATION)
             else:
-                verdicts[eq.kind] = _nonhyperbolic_axis_verdicts(dets.d12)
+                verdicts[eq.kind] = _nonhyperbolic_axis_verdicts(dets.signs[0])
 
     serial = case.table6_serial
     assert serial is not None
@@ -295,69 +294,84 @@ def classify(params: SystemParams) -> ClassificationReport:
 # Quadrant-stability criteria expressed directly on the determinant signs.
 # Each predicate is a finite disjunction over three named sign clauses and
 # their species-swap images; together they tile the thirteen realizable
-# triples.  None of them looks at an eigenvalue.
+# triples.  None of them looks at an eigenvalue, and the clauses read only the
+# sign triple (an int -1, 0 or +1 each).
 
-def _species_swap(triple: DeterminantTriple) -> DeterminantTriple:
-    """Swapping the species maps (d12, d112, d122) to (d12, -d122, -d112)
-    and trades the axis-1 and axis-2 equilibria."""
-    return DeterminantTriple(d12=triple.d12, d112=-triple.d122, d122=-triple.d112)
+_SignTriple = Tuple[int, int, int]
 
 
-def _axis1_dominance(triple: DeterminantTriple) -> bool:
+def _species_swap(signs: _SignTriple) -> _SignTriple:
+    """Swapping the species maps (d12, d112, d122) to (d12, -d122, -d112),
+    so their signs to (s12, -s122, -s112), and trades the axis-1 and axis-2
+    equilibria."""
+    s12, s112, s122 = signs
+    return (s12, -s122, -s112)
+
+
+def _axis1_dominance(signs: _SignTriple) -> bool:
     """Axis-1 equilibrium attracts the closed quadrant and nothing lies in
     the open quadrant (the two zero-minor clauses are the non-hyperbolic
     boundary cases)."""
-    d12, d112, d122 = triple.d12, triple.d112, triple.d122
+    s12, s112, s122 = signs
     return (
-        (d112 < 0 and d122 < 0)
-        or (d12 < 0 and d112 < 0 and d122 == 0)
-        or (d12 > 0 and d112 == 0 and d122 < 0)
+        (s112 < 0 and s122 < 0)
+        or (s12 < 0 and s112 < 0 and s122 == 0)
+        or (s12 > 0 and s112 == 0 and s122 < 0)
     )
 
 
-def _coexistence(triple: DeterminantTriple) -> bool:
+def _coexistence(signs: _SignTriple) -> bool:
     """(+,+,-): a stable interior equilibrium; both axes are unstable."""
-    return triple.d12 > 0 and triple.d112 > 0 and triple.d122 < 0
+    return signs == (1, 1, -1)
 
 
-def _bistability(triple: DeterminantTriple) -> bool:
+def _bistability(signs: _SignTriple) -> bool:
     """(-,-,+): an interior saddle separates two attracting axes."""
-    return triple.d12 < 0 and triple.d112 < 0 and triple.d122 > 0
+    return signs == (-1, -1, 1)
+
+
+def _axis1_attracting(signs: _SignTriple) -> bool:
+    return _axis1_dominance(signs) or _bistability(signs)
+
+
+def _axis1_repelling(signs: _SignTriple) -> bool:
+    return _axis1_dominance(_species_swap(signs)) or _coexistence(signs)
 
 
 def thm_axis1_asymptotically_stable(triple: DeterminantTriple) -> bool:
     """Axis-1 equilibrium attracts the closed quadrant iff species 1
     dominates or the picture is bistable."""
-    return _axis1_dominance(triple) or _bistability(triple)
+    return _axis1_attracting(triple.signs)
 
 
 def thm_axis1_unstable(triple: DeterminantTriple) -> bool:
     """Axis-1 equilibrium is unstable iff species 2 dominates or the two
     coexist."""
-    return _axis1_dominance(_species_swap(triple)) or _coexistence(triple)
+    return _axis1_repelling(triple.signs)
 
 
 def thm_axis2_asymptotically_stable(triple: DeterminantTriple) -> bool:
-    return thm_axis1_asymptotically_stable(_species_swap(triple))
+    return _axis1_attracting(_species_swap(triple.signs))
 
 
 def thm_axis2_unstable(triple: DeterminantTriple) -> bool:
-    return thm_axis1_unstable(_species_swap(triple))
+    return _axis1_repelling(_species_swap(triple.signs))
 
 
 def thm_no_open_quadrant_equilibrium(triple: DeterminantTriple) -> bool:
     """No equilibrium lies in the open quadrant iff one of the species
     dominates outright."""
-    return _axis1_dominance(triple) or _axis1_dominance(_species_swap(triple))
+    signs = triple.signs
+    return _axis1_dominance(signs) or _axis1_dominance(_species_swap(signs))
 
 
 def thm_interior_class(triple: DeterminantTriple) -> Optional[StabilityClass]:
     """Interior-equilibrium verdict: a sink for (+,+,-), a saddle for
     (-,-,+), absent otherwise."""
-    if _coexistence(triple):
+    if _coexistence(triple.signs):
         return StabilityClass(Verdict.ASYMPTOTICALLY_STABLE, Scope.INTERIOR_ONLY,
                               Basis.LINEARIZATION)
-    if _bistability(triple):
+    if _bistability(triple.signs):
         return StabilityClass(Verdict.SADDLE, Scope.FULL_NEIGHBORHOOD, Basis.LINEARIZATION)
     return None
 
@@ -399,7 +413,7 @@ def cross_check_theorems(params: SystemParams) -> ConsistencyVerdict:
         e for e in report.equilibria
         if isinstance(e, Equilibrium) and e.kind is EquilibriumKind.INTERIOR
     ]
-    strictly_interior = [e for e in interior if e.x1 > 0 and e.x2 > 0]
+    strictly_interior = [e for e in interior if sign_of(e.x1) > 0 and sign_of(e.x2) > 0]
     line = report.line
     has_open_quadrant_equilibrium = bool(strictly_interior) or line is not None
     check("no open-quadrant equilibrium", thm_no_open_quadrant_equilibrium(triple),

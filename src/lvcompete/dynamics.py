@@ -544,35 +544,46 @@ def nullclines(params: SystemParams) -> NullclineSet:
     whose product has, for v > 0, the sign of the field component that
     crosses it.  The breakpoints are the factors' positive roots, and a
     segment's tag is the product of the factors' exact signs just to the
-    right of its lower end: never from floating point, and never from a case
-    table.
+    right of its lower end, read from the signs of m and c and the order of
+    the roots alone: never from floating point, and never from a case table.
     """
     p = params
     d = compute_determinants(params)
+    s12, _, s122 = d.signs
+    # The roots -c/m, computed only where they are positive.
+    b1_over_a11 = p.b1 / p.a11
+    crossing = -d.d122 / d.d12 if s12 * s122 < 0 else None
+    neg, pos = Sign.NEG, Sign.POS
+    # Each factor m*v + c as (sign of m, sign of c, positive root or None).
     branches = (
         # x1 = 0 (x2 parametrizes): x2' = x2*(b2 - a22*x2).
-        (NullclineBranch.VERTICAL_AXIS, [(-p.a22, p.b2)]),
+        (NullclineBranch.VERTICAL_AXIS, [(neg, pos, p.b2 / p.a22)]),
         # x2 = (b1 - a11*x1)/a12: substitution gives
         # x2' = x2*(d12*x1 + d122)/a12 with x2 = (b1 - a11*x1)/a12.
-        (NullclineBranch.OBLIQUE_X1, [(-p.a11, p.b1), (d.d12, d.d122)]),
+        (NullclineBranch.OBLIQUE_X1, [(neg, pos, b1_over_a11), (s12, s122, crossing)]),
         # x2 = 0: x1' = x1*(b1 - a11*x1).
-        (NullclineBranch.HORIZONTAL_AXIS, [(-p.a11, p.b1)]),
+        (NullclineBranch.HORIZONTAL_AXIS, [(neg, pos, b1_over_a11)]),
         # x2 = (b2 - a21*x1)/a22: substitution gives
         # x1' = -x1*(d12*x1 + d122)/a22.
-        (NullclineBranch.OBLIQUE_X2, [(-d.d12, -d.d122)]),
+        (NullclineBranch.OBLIQUE_X2, [(-s12, -s122, crossing)]),
     )
     curves = []
     for branch, factors in branches:
-        points = sorted({Fraction(0), *(-c / m for m, c in factors if m * c < 0)})
+        points = [Fraction(0)]
+        for root in sorted(r for _, _, r in factors if r is not None):
+            if root != points[-1]:
+                points.append(root)
+        # Just right of the point with index i, m*v + c has the sign of c
+        # when m = 0, the sign of m when it has no positive root, and, when
+        # its root has index k, the sign of m if k <= i and of -m if not.
+        rules = [(sm or sc, 0 if root is None else points.index(root))
+                 for sm, sc, root in factors]
         vertical = branch in _VERTICAL_FLOW
         segments = []
-        for lo, hi in zip(points, [*points[1:], None]):
-            # No factor changes sign inside the segment, so its sign there is
-            # the sign just to the right of lo: that of m*lo + c, or of m
-            # where lo is the factor's root.
+        for i, (lo, hi) in enumerate(zip(points, [*points[1:], None])):
             s = 1
-            for m, c in factors:
-                s *= sign_of(m * lo + c) or sign_of(m)
+            for sign, k in rules:
+                s *= sign if k <= i else -sign
             if s == 0:
                 direction = Direction.STATIONARY
             elif vertical:

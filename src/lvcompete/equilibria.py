@@ -121,8 +121,7 @@ class EquilibriumLine:
     alpha_max: Fraction = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        triple = compute_determinants(self.params)
-        if (triple.d12, triple.d112, triple.d122) != (0, 0, 0):
+        if any(compute_determinants(self.params).signs):
             raise ValueError("equilibrium line requires all three determinants to vanish")
         if self.alpha_max is None:
             object.__setattr__(self, "alpha_max", self.params.b1 / self.params.a12)
@@ -181,7 +180,7 @@ def interior_point(params: SystemParams) -> Optional[RationalPair]:
     whether a non-positive coordinate disqualifies it.
     """
     d = compute_determinants(params)
-    if d.d12 == 0:
+    if not d.signs[0]:
         return None
     return (-d.d122 / d.d12, d.d112 / d.d12)
 
@@ -216,9 +215,29 @@ def find_equilibria(
     ``d12 != 0``) it is not listed twice: the axis equilibrium is tagged with
     ``coincides_with=INTERIOR`` instead.  In the fully degenerate case the
     result is ``[origin, EquilibriumLine]``.
+
+    The equilibria are built once per ``params`` object and kept on it; each
+    call returns a new list of those (immutable) entries.
     """
+    kept = params._equilibria
+    # Entries of another import of this module (a re-imported package) are
+    # other classes: they are rebuilt rather than handed to this import.
+    if kept is None or type(kept[0][0]) is not Equilibrium:
+        kept = _all_equilibria(params)
+        object.__setattr__(params, "_equilibria", kept)
+    entries, in_quadrant = kept
+    return list(entries if include_off_quadrant else entries[:in_quadrant])
+
+
+def _all_equilibria(
+    params: SystemParams,
+) -> Tuple[Tuple[Union[Equilibrium, EquilibriumLine], ...], int]:
+    """Every equilibrium, the interior one wherever it lies, and how many of
+    them (a prefix) lie in the closed quadrant.  Each test reads the exact
+    signs of the determinants."""
     p = params
     d = compute_determinants(params)
+    s12, s112, s122 = d.signs
     zero = Fraction(0)
 
     origin = Equilibrium(
@@ -226,28 +245,27 @@ def find_equilibria(
         eigenvalues=EigenPair(p.b1, p.b2),
     )
 
-    if d.d12 == 0 and d.d112 == 0 and d.d122 == 0:
-        return [origin, EquilibriumLine(params=params)]
+    if not (s12 or s112 or s122):
+        return (origin, EquilibriumLine(params=params)), 2
 
     axis1 = Equilibrium(
         kind=EquilibriumKind.AXIS1, x1=p.b1 / p.a11, x2=zero,
         eigenvalues=EigenPair(-p.b1, d.d112 / p.a11),
-        coincides_with=EquilibriumKind.INTERIOR if (d.d112 == 0 and d.d12 != 0) else None,
+        coincides_with=EquilibriumKind.INTERIOR if (not s112 and s12) else None,
     )
     axis2 = Equilibrium(
         kind=EquilibriumKind.AXIS2, x1=zero, x2=p.b2 / p.a22,
         eigenvalues=EigenPair(-d.d122 / p.a22, -p.b2),
-        coincides_with=EquilibriumKind.INTERIOR if (d.d122 == 0 and d.d12 != 0) else None,
+        coincides_with=EquilibriumKind.INTERIOR if (not s122 and s12) else None,
     )
-    result: List[Union[Equilibrium, EquilibriumLine]] = [origin, axis1, axis2]
+    if not (s12 and s112 and s122):
+        return (origin, axis1, axis2), 3
 
-    if d.d12 != 0 and d.d112 != 0 and d.d122 != 0:
-        x1, x2 = -d.d122 / d.d12, d.d112 / d.d12
-        if (x1 > 0 and x2 > 0) or include_off_quadrant:
-            result.append(
-                Equilibrium(
-                    kind=EquilibriumKind.INTERIOR, x1=x1, x2=x2,
-                    eigenvalues=_interior_eigenpair(params, d.d12, x1, x2),
-                )
-            )
-    return result
+    x1, x2 = -d.d122 / d.d12, d.d112 / d.d12
+    interior = Equilibrium(
+        kind=EquilibriumKind.INTERIOR, x1=x1, x2=x2,
+        eigenvalues=_interior_eigenpair(params, d.d12, x1, x2),
+    )
+    # x1 = -d122/d12 > 0 and x2 = d112/d12 > 0.
+    inside = s122 != s12 and s112 == s12
+    return (origin, axis1, axis2, interior), 4 if inside else 3

@@ -35,19 +35,24 @@ class Sign(IntEnum):
             raise ValueError(f"not a sign glyph: {glyph!r}") from None
 
 
-def sign_of(value: Union[int, Fraction]) -> Sign:
-    if value > 0:
-        return Sign.POS
-    if value < 0:
-        return Sign.NEG
-    return Sign.ZERO
+#: ``sign_of``'s answer, indexed by (value > 0) - (value < 0).
+_SIGN_BY_COMPARISON = (Sign.ZERO, Sign.POS, Sign.NEG)
+
+
+def sign_of(value: Union[int, Fraction, float]) -> Sign:
+    """Exact sign of an int, a float or a Fraction; a Fraction's sign is that
+    of its numerator, an int, so no rational comparison is made."""
+    if type(value) is Fraction:
+        value = value.numerator
+    return _SIGN_BY_COMPARISON[(value > 0) - (value < 0)]
 
 
 def rational_sqrt(value: Fraction) -> Optional[Fraction]:
     """Exact square root of a non-negative rational, or ``None`` if irrational."""
-    if value < 0:
+    sign = sign_of(value)
+    if sign < 0:
         raise ValueError("rational_sqrt of a negative value")
-    if value == 0:
+    if not sign:
         return Fraction(0)
     num, den = value.numerator, value.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)
@@ -58,13 +63,14 @@ def rational_sqrt(value: Fraction) -> Optional[Fraction]:
 
 def _sign_of_p_plus_t_root_q(p: Fraction, t: int, q: Fraction) -> Sign:
     """Exact sign of p + t*sqrt(q) for rational p, q >= 0 and t in {-1, +1}."""
-    if q == 0:
-        return sign_of(p)
+    p_sign = sign_of(p)
+    if not sign_of(q):
+        return p_sign
     if t > 0:
-        if p >= 0:
+        if p_sign >= 0:
             return Sign.POS
         return sign_of(q - p * p)  # p < 0: compare |p| against sqrt(q)
-    if p <= 0:
+    if p_sign <= 0:
         return Sign.NEG
     return sign_of(p * p - q)
 
@@ -87,20 +93,21 @@ class QuadraticSurd:
     def __post_init__(self) -> None:
         if self.branch not in (-1, 1):
             raise ValueError("branch must be +1 or -1")
-        if self.r == 0:
+        r_sign = sign_of(self.r)
+        if not r_sign:
             raise ValueError("zero denominator in surd")
-        if self.r < 0:
+        if r_sign < 0:
             object.__setattr__(self, "p", -self.p)
             object.__setattr__(self, "r", -self.r)
             object.__setattr__(self, "branch", -self.branch)
 
     @property
     def is_real(self) -> bool:
-        return self.q >= 0
+        return sign_of(self.q) >= 0
 
     def real_part_sign(self) -> Sign:
         """Exact sign of the real part (the value itself when it is real)."""
-        if self.q < 0:
+        if not self.is_real:
             return sign_of(self.p)  # r > 0 after normalisation
         return _sign_of_p_plus_t_root_q(self.p, self.branch, self.q)
 
@@ -111,7 +118,7 @@ class QuadraticSurd:
 
     def as_rational(self) -> Optional[Fraction]:
         """Collapse to a plain rational when q is a perfect square."""
-        if self.q < 0:
+        if not self.is_real:
             return None
         root = rational_sqrt(self.q)
         if root is None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
@@ -85,6 +85,12 @@ class SystemParams:
     a21: Fraction
     a22: Fraction
 
+    #: Facts computed once per parameter set and kept on the instance by
+    #: ``compute_determinants`` and ``equilibria.find_equilibria``.  They are
+    #: not fields: equality, hashing, repr and pickling never see them.
+    _determinants = None
+    _equilibria = None
+
     def __post_init__(self) -> None:
         for name in _PARAM_NAMES:
             value = getattr(self, name)
@@ -126,6 +132,10 @@ class SystemParams:
             raise ParameterError('"b" must have 2 entries and "a" must be 2x2')
         return cls.from_pairs(b, a)
 
+    def __getstate__(self) -> dict:
+        # The six fields only; an unpickled copy recomputes the kept facts.
+        return {name: getattr(self, name) for name in _PARAM_NAMES}
+
     def to_json_dict(self) -> dict:
         return {
             "b": [str(self.b1), str(self.b2)],
@@ -149,12 +159,12 @@ class DeterminantTriple:
     d12: Fraction
     d112: Fraction
     d122: Fraction
+    #: (sign d12, sign d112, sign d122), read once on construction.
+    signs: Tuple[Sign, Sign, Sign] = field(init=False, repr=False, compare=False)
 
-    @property
-    def signs(self) -> Tuple[Sign, Sign, Sign]:
-        # A Fraction's numerator carries its sign; comparing ints is cheaper.
-        return (sign_of(self.d12.numerator), sign_of(self.d112.numerator),
-                sign_of(self.d122.numerator))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "signs",
+                           (sign_of(self.d12), sign_of(self.d112), sign_of(self.d122)))
 
     def to_json_dict(self) -> dict:
         return {"d12": str(self.d12), "d112": str(self.d112), "d122": str(self.d122)}
@@ -164,21 +174,30 @@ def compute_determinants(params: SystemParams) -> DeterminantTriple:
     """Interaction determinant and the two growth-rate minors.
 
     ``d122`` carries the sign convention that makes the interior equilibrium
-    come out as ``(-d122/d12, d112/d12)``.
+    come out as ``(-d122/d12, d112/d12)``.  The triple is computed once per
+    ``params`` object and kept on it.
     """
+    kept = params._determinants
+    # A triple of another import of this module (a re-imported package) is
+    # another class: it is recomputed rather than handed to this import.
+    if type(kept) is DeterminantTriple:
+        return kept
     p = params
-    return DeterminantTriple(d12=_minor(p.a11, p.a22, p.a12, p.a21),
-                             d112=_minor(p.a11, p.b2, p.a21, p.b1),
-                             d122=_minor(p.a12, p.b2, p.a22, p.b1))
-
-
-def _minor(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Fraction:
-    """``a*b - c*d`` by integer cross-multiplication, normalised once."""
-    na, da = a.numerator, a.denominator
-    nb, db = b.numerator, b.denominator
-    nc, dc = c.numerator, c.denominator
-    nd, dd = d.numerator, d.denominator
-    return Fraction(na * nb * dc * dd - nc * nd * da * db, da * db * dc * dd)
+    # Each minor a*b - c*d by integer cross-multiplication, normalised once;
+    # each parameter's numerator and denominator are read once.
+    nb1, qb1 = p.b1.numerator, p.b1.denominator
+    nb2, qb2 = p.b2.numerator, p.b2.denominator
+    n11, q11 = p.a11.numerator, p.a11.denominator
+    n12, q12 = p.a12.numerator, p.a12.denominator
+    n21, q21 = p.a21.numerator, p.a21.denominator
+    n22, q22 = p.a22.numerator, p.a22.denominator
+    kept = DeterminantTriple(
+        d12=Fraction(n11 * n22 * q12 * q21 - n12 * n21 * q11 * q22, q11 * q22 * q12 * q21),
+        d112=Fraction(n11 * nb2 * q21 * qb1 - n21 * nb1 * q11 * qb2, q11 * qb2 * q21 * qb1),
+        d122=Fraction(n12 * nb2 * q22 * qb1 - n22 * nb1 * q12 * qb2, q12 * qb2 * q22 * qb1),
+    )
+    object.__setattr__(params, "_determinants", kept)
+    return kept
 
 
 def rhs_exact(params: SystemParams, x1: Fraction, x2: Fraction) -> Tuple[Fraction, Fraction]:
@@ -275,12 +294,13 @@ def sign_case(
 ) -> SignCase:
     """Feasibility and portrait serial for a determinant sign triple."""
     if isinstance(source, DeterminantTriple):
-        triple = source.signs
+        s12, s112, s122 = source.signs
     else:
-        triple = tuple(Sign(s) for s in source)  # type: ignore[assignment]
+        triple = tuple(Sign(s) for s in source)
         if len(triple) != 3:
             raise ValueError("expected a triple of signs")
-    return _SIGN_CASES[triple]
+        s12, s112, s122 = triple
+    return _SIGN_CASES[9 * s12 + 3 * s112 + s122]
 
 
 def _build_sign_case(triple: Tuple[Sign, Sign, Sign]) -> SignCase:
@@ -292,8 +312,10 @@ def _build_sign_case(triple: Tuple[Sign, Sign, Sign]) -> SignCase:
 
 
 #: All 27 verdicts, built once; ``SignCase`` is frozen, so they are shared.
-_SIGN_CASES: Dict[Tuple[Sign, Sign, Sign], SignCase] = {
-    t: _build_sign_case(t)
+#: The key 9*s12 + 3*s112 + s122 is an int: hashing it costs less than
+#: hashing three enum members.
+_SIGN_CASES: Dict[int, SignCase] = {
+    9 * t[0] + 3 * t[1] + t[2]: _build_sign_case(t)
     for t in itertools.product((Sign.POS, Sign.ZERO, Sign.NEG), repeat=3)
 }
 

@@ -26,11 +26,13 @@ from lvcompete import (
     classify,
     empirical_matches,
     empirical_stability,
+    feasible_sign_triples,
     integrate,
     lyapunov_verify,
     nullcline_wedge,
     nullclines,
     rhs_exact,
+    sample_params,
     vector_field,
 )
 from lvcompete.classifier import Scope
@@ -457,6 +459,42 @@ def test_crossing_tags_agree_with_the_exact_field(params, which, value):
         assert moving > 0
     else:
         assert moving < 0
+
+
+_TAG_SIGN = {Direction.UP: 1, Direction.RIGHT: 1, Direction.DOWN: -1,
+             Direction.LEFT: -1, Direction.STATIONARY: 0}
+
+
+def _assert_tags_match_the_field_inside_each_segment(params):
+    """Each segment's tag is the exact sign of the crossing field component
+    at one interior point: the midpoint, or lo + 1 past the last breakpoint."""
+    for curve in nullclines(params).curves:
+        for seg in curve.segments:
+            value = seg.lo + 1 if seg.hi is None else (seg.lo + seg.hi) / 2
+            f1, f2 = rhs_exact(params, *curve.point_at(value))
+            vanishing, moving = (f1, f2) if curve.branch in _VERTICAL_FLOW else (f2, f1)
+            assert vanishing == 0
+            assert _TAG_SIGN[seg.direction] == (moving > 0) - (moving < 0), \
+                (curve.branch, seg)
+
+
+@pytest.mark.parametrize("triple", feasible_sign_triples(),
+                         ids=lambda t: "".join(s.glyph for s in t))
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_segment_tags_match_the_field_for_every_sign_triple(triple, seed):
+    _assert_tags_match_the_field_inside_each_segment(sample_params(triple, rng_seed=seed))
+
+
+uniform_rationals = st.builds(Fraction, st.integers(1, 12), st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=st.builds(SystemParams, b1=uniform_rationals, b2=uniform_rationals,
+                        a11=uniform_rationals, a12=uniform_rationals,
+                        a21=uniform_rationals, a22=uniform_rationals))
+def test_segment_tags_match_the_field_for_uniform_draws(params):
+    _assert_tags_match_the_field_inside_each_segment(params)
 
 
 # ---------------------------------------------------------------------------

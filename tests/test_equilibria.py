@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -155,6 +157,55 @@ class TestOffQuadrantCrossing:
         assert lv.interior_point(self.p) == (-2, 4)
         parallel = SystemParams.from_pairs((1, 1), ((1, 2), (2, 4)))
         assert lv.interior_point(parallel) is None
+
+
+class TestKeptEquilibria:
+    """find_equilibria builds the list once per params object."""
+
+    def test_each_call_returns_a_new_list(self):
+        p = TestOffQuadrantCrossing.p
+        first = find_equilibria(p, include_off_quadrant=True)
+        first.append("mutated")
+        first[0] = None
+        full = find_equilibria(p, include_off_quadrant=True)
+        assert full is not first and len(full) == 4
+        assert isinstance(full[0], Equilibrium) and full[0].kind is K.ORIGIN
+        quadrant = find_equilibria(p)
+        assert quadrant == full[:3]
+        quadrant.clear()
+        assert len(find_equilibria(p)) == 3
+
+    @given(params_strategy)
+    def test_kept_list_equals_a_fresh_one(self, p):
+        find_equilibria(p)
+        twin = SystemParams(b1=p.b1, b2=p.b2, a11=p.a11, a12=p.a12, a21=p.a21, a22=p.a22)
+        for flag in (False, True):
+            assert find_equilibria(p, include_off_quadrant=flag) \
+                == find_equilibria(twin, include_off_quadrant=flag)
+
+    def test_objects_kept_by_another_import_are_rebuilt(self):
+        """A re-imported package defines new classes; it must not be handed
+        the objects the first import kept on a shared params object."""
+        p = SystemParams.from_pairs((3, 4), ((1, 1), (1, 2)))
+        assert lv.cross_check_theorems(p).ok  # fills p with this import's objects
+        saved = {name: module for name, module in sys.modules.items()
+                 if name == "lvcompete" or name.startswith("lvcompete.")}
+        try:
+            for name in saved:
+                del sys.modules[name]
+            fresh = importlib.import_module("lvcompete")
+            assert fresh.DeterminantTriple is not lv.DeterminantTriple
+            verdict = fresh.cross_check_theorems(p)
+            assert verdict.ok
+            assert type(verdict.report.determinants) is fresh.DeterminantTriple
+            assert all(type(e) is fresh.Equilibrium for e in fresh.find_equilibria(p))
+            assert fresh.nullclines(p).to_json_dict() == lv.nullclines(p).to_json_dict()
+        finally:
+            for name in [n for n in sys.modules if n == "lvcompete" or n.startswith("lvcompete.")]:
+                del sys.modules[name]
+            sys.modules.update(saved)
+        assert type(lv.compute_determinants(p)) is lv.DeterminantTriple
+        assert type(find_equilibria(p)[0]) is Equilibrium
 
 
 def test_off_quadrant_crossing_can_spiral():

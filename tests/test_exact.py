@@ -56,6 +56,22 @@ def test_sign_of_matches_comparison(x):
     assert (s is Sign.ZERO) == (x == 0)
 
 
+@pytest.mark.parametrize("value, expected", [
+    (Fraction(10**400 + 1, 10**400), Sign.POS),
+    (Fraction(-1, 10**400), Sign.NEG),
+    (-(10**400), Sign.NEG),
+    (Fraction(0), Sign.ZERO),
+    (0, Sign.ZERO),
+    (-7, Sign.NEG),
+    (2.5e-300, Sign.POS),
+    (-1e300, Sign.NEG),
+    (-0.0, Sign.ZERO),
+    (float("inf"), Sign.POS),
+])
+def test_sign_of_huge_negative_zero_and_float_inputs(value, expected):
+    assert sign_of(value) is expected
+
+
 def test_rational_sqrt_exact_cases():
     assert rational_sqrt(Fraction(0)) == 0
     assert rational_sqrt(Fraction(4, 9)) == Fraction(2, 3)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -115,6 +117,42 @@ class TestDeterminants:
         assert f1 == 0 and f2 != 0 or f2 == 0
         f1, f2 = lv.rhs_exact(p, Fraction(0), Fraction(0))
         assert (f1, f2) == (0, 0)
+
+
+class TestKeptDeterminants:
+    """The triple is computed once and kept on the params object; nothing
+    about the params themselves may show it."""
+
+    p = SystemParams.from_pairs(("3/2", 4), ((1, "1/3"), (2, 5)))
+
+    def fresh(self):
+        return SystemParams(**{name: getattr(self.p, name)
+                               for name in ("b1", "b2", "a11", "a12", "a21", "a22")})
+
+    def test_kept_triple_equals_a_fresh_computation(self):
+        kept = compute_determinants(self.p)
+        assert compute_determinants(self.p) is kept
+        other = compute_determinants(self.fresh())
+        assert other == kept and other is not kept
+        assert other.signs == kept.signs
+
+    def test_params_look_the_same_once_filled(self):
+        before = self.fresh()
+        stamp = (repr(before), hash(before), pickle.dumps(before), before.to_json_dict())
+        lv.cross_check_theorems(before)
+        lv.find_equilibria(before, include_off_quadrant=True)
+        lv.nullclines(before)
+        assert (repr(before), hash(before), pickle.dumps(before),
+                before.to_json_dict()) == stamp
+        assert before == self.fresh() and self.fresh() == before
+        for clone in (pickle.loads(pickle.dumps(before)), copy.deepcopy(before)):
+            assert clone == before and hash(clone) == hash(before)
+            assert compute_determinants(clone) == compute_determinants(before)
+
+    @given(params_strategy)
+    def test_signs_are_the_signs_of_the_determinants(self, p):
+        d = compute_determinants(p)
+        assert d.signs == tuple(Sign((v > 0) - (v < 0)) for v in (d.d12, d.d112, d.d122))
 
 
 class TestSignCases:

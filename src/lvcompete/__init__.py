@@ -82,17 +82,14 @@ from .dynamics import (
     NullclineSet,
     ProbeOutcome,
     ProbeProtocol,
-    ProbeRegion,
     ProbeResult,
     ProbeScope,
     TerminalStatus,
     Trajectory,
-    WedgeSide,
     empirical_matches,
     empirical_stability,
     integrate,
     lyapunov_verify,
-    nullcline_wedge,
     nullclines,
     vector_field,
 )
@@ -137,10 +134,9 @@ __all__ = [
     # dynamics
     "Direction", "EmpiricalVerdict", "EmpiricalVerdictKind", "IntegratorOptions",
     "LyapunovCheck", "LyapunovTarget", "NotApplicable", "NullclineBranch",
-    "NullclineCurve", "NullclineSet", "ProbeOutcome", "ProbeProtocol",
-    "ProbeRegion", "ProbeResult", "ProbeScope", "TerminalStatus", "Trajectory",
-    "WedgeSide", "empirical_matches", "empirical_stability", "integrate",
-    "lyapunov_verify", "nullcline_wedge", "nullclines", "vector_field",
+    "NullclineCurve", "NullclineSet", "ProbeOutcome", "ProbeProtocol", "ProbeResult",
+    "ProbeScope", "TerminalStatus", "Trajectory", "empirical_matches",
+    "empirical_stability", "integrate", "lyapunov_verify", "nullclines", "vector_field",
     # bifurcation
     "BifurcationEvent", "CatalogEntry", "EventKind", "ParameterPath", "PathScan",
     "SwapSummary", "WhichDeterminant", "four_case_catalog", "scan_path",

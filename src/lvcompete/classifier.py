@@ -22,6 +22,7 @@ from .model import (
     SignCase,
     SystemParams,
     compute_determinants,
+    feasible_sign_triples,
     sign_case,
 )
 from .equilibria import (
@@ -201,17 +202,6 @@ class ClassificationReport:
         }
 
 
-def _both_scopes(sc_full: StabilityClass, sc_quadrant: StabilityClass) -> ScopedVerdicts:
-    return {Scope.FULL_NEIGHBORHOOD: sc_full, Scope.FIRST_QUADRANT_CLOSED: sc_quadrant}
-
-
-def _same_both_scopes(verdict: Verdict, basis: Basis) -> ScopedVerdicts:
-    return _both_scopes(
-        StabilityClass(verdict, Scope.FULL_NEIGHBORHOOD, basis),
-        StabilityClass(verdict, Scope.FIRST_QUADRANT_CLOSED, basis),
-    )
-
-
 def linearization_verdict(s1: Sign, s2: Sign) -> Optional[Verdict]:
     """Node or saddle from the exact signs of the two eigenvalue real parts;
     None when one is zero and linearization decides nothing."""
@@ -224,28 +214,65 @@ def linearization_verdict(s1: Sign, s2: Sign) -> Optional[Verdict]:
     return Verdict.SADDLE
 
 
-def _nonhyperbolic_axis_verdicts(s12: Sign) -> ScopedVerdicts:
+#: The two scopes of each report entry, in their JSON order.
+_REPORT_SCOPES = (Scope.FULL_NEIGHBORHOOD, Scope.FIRST_QUADRANT_CLOSED)
+
+
+def _scoped_verdicts(s1: Sign, s2: Sign, s12: Sign) -> ScopedVerdicts:
+    """The report entry of an equilibrium whose eigenvalue real parts have
+    the signs s1 and s2, in a system where d12 has the sign s12."""
+    verdict = linearization_verdict(s1, s2)
+    if verdict is not None:
+        return {scope: StabilityClass(verdict, scope, Basis.LINEARIZATION)
+                for scope in _REPORT_SCOPES}
     # One eigenvalue is exactly zero.  The flow on the center direction is
     # quadratic with coefficient proportional to -d12, so the sign of d12
     # decides between one-side attraction (semi-stable on the plane, but
     # asymptotically stable as seen from the quadrant) and outright escape.
+    # With d12 = 0 a zero eigenvalue needs d112 = d122 = 0: a line of equilibria.
     if s12 > 0:
-        return _both_scopes(
-            StabilityClass(Verdict.SEMI_STABLE, Scope.FULL_NEIGHBORHOOD,
-                           Basis.NULLCLINE_ARGUMENT),
-            StabilityClass(Verdict.ASYMPTOTICALLY_STABLE, Scope.FIRST_QUADRANT_CLOSED,
-                           Basis.LYAPUNOV_FUNCTION),
-        )
-    return _same_both_scopes(Verdict.UNSTABLE, Basis.NULLCLINE_ARGUMENT)
+        full = StabilityClass(Verdict.SEMI_STABLE, Scope.FULL_NEIGHBORHOOD,
+                              Basis.NULLCLINE_ARGUMENT)
+        quadrant = StabilityClass(Verdict.ASYMPTOTICALLY_STABLE, Scope.FIRST_QUADRANT_CLOSED,
+                                  Basis.LYAPUNOV_FUNCTION)
+        return {full.scope: full, quadrant.scope: quadrant}
+    verdict, basis = ((Verdict.UNSTABLE, Basis.NULLCLINE_ARGUMENT) if s12 < 0 else
+                      (Verdict.NON_ISOLATED, Basis.LINE_OF_EQUILIBRIA))
+    return {scope: StabilityClass(verdict, scope, basis) for scope in _REPORT_SCOPES}
+
+
+def _verdict_row(signs: Tuple[Sign, Sign, Sign]) -> Dict[EquilibriumKind, ScopedVerdicts]:
+    """The verdicts of every system with this feasible sign triple.  The
+    eigenvalue real parts have signs (+, +) at the origin, (-, s112) at axis 1,
+    (-s122, -) at axis 2 and (0, -) along a line of equilibria.  The interior
+    equilibrium is in the open quadrant iff s112 = s12 = -s122 != 0; there
+    det J = x1*x2*d12 and the trace is negative, so its signs are (-, -s12)."""
+    s12, s112, s122 = signs
+    real_parts = {
+        EquilibriumKind.ORIGIN: (Sign.POS, Sign.POS),
+        EquilibriumKind.AXIS1: (Sign.NEG, s112),
+        EquilibriumKind.AXIS2: (Sign(-s122), Sign.NEG),
+    }
+    if s12 and s112 == s12 and s122 == -s12:
+        real_parts[EquilibriumKind.INTERIOR] = (Sign.NEG, Sign(-s12))
+    if not (s12 or s112 or s122):
+        real_parts[EquilibriumKind.LINE_MEMBER] = (Sign.ZERO, Sign.NEG)
+    return {kind: _scoped_verdicts(s1, s2, s12) for kind, (s1, s2) in real_parts.items()}
+
+
+#: One verdict row per feasible sign triple, keyed 9*s12 + 3*s112 + s122 like
+#: ``model._SIGN_CASES``; :func:`classify` copies both dict levels.
+_VERDICT_ROWS: Dict[int, Dict[EquilibriumKind, ScopedVerdicts]] = {
+    9 * t[0] + 3 * t[1] + t[2]: _verdict_row(t) for t in feasible_sign_triples()
+}
 
 
 def classify(params: SystemParams) -> ClassificationReport:
     """Full stability report for one parameter set.
 
-    Hyperbolic equilibria are classified from the exact signs of their
-    eigenvalue real parts; the non-hyperbolic axis cases fall back on the
-    sign of ``d12``, and the fully degenerate case marks the whole segment
-    as non-isolated.
+    The verdicts depend on the determinants' sign triple alone, as in the
+    paper's tables: ``classify`` copies the triple's row of ``_VERDICT_ROWS``
+    and reads no eigenvalue.  The report's equilibria are the system's own.
     """
     dets = compute_determinants(params)
     case = sign_case(dets)
@@ -254,28 +281,8 @@ def classify(params: SystemParams) -> ClassificationReport:
             f"sign triple ({case.glyphs}) is provably unrealizable; "
             "exact arithmetic and the feasibility table disagree"
         )
-    equilibria = find_equilibria(params)
-
-    verdicts: Dict[EquilibriumKind, ScopedVerdicts] = {
-        EquilibriumKind.ORIGIN: _same_both_scopes(Verdict.UNSTABLE_NODE, Basis.LINEARIZATION)
-    }
-
-    line = next((e for e in equilibria if isinstance(e, EquilibriumLine)), None)
-    if line is not None:
-        ni = _same_both_scopes(Verdict.NON_ISOLATED, Basis.LINE_OF_EQUILIBRIA)
-        verdicts[EquilibriumKind.AXIS1] = ni
-        verdicts[EquilibriumKind.AXIS2] = ni
-        verdicts[EquilibriumKind.LINE_MEMBER] = ni
-    else:
-        for eq in equilibria:
-            assert isinstance(eq, Equilibrium)
-            if eq.kind is EquilibriumKind.ORIGIN:
-                continue
-            verdict = linearization_verdict(*eq.eigenvalues.realpart_signs)
-            if verdict is not None:
-                verdicts[eq.kind] = _same_both_scopes(verdict, Basis.LINEARIZATION)
-            else:
-                verdicts[eq.kind] = _nonhyperbolic_axis_verdicts(dets.signs[0])
+    s12, s112, s122 = dets.signs
+    row = _VERDICT_ROWS[9 * s12 + 3 * s112 + s122]
 
     serial = case.table6_serial
     assert serial is not None
@@ -283,8 +290,8 @@ def classify(params: SystemParams) -> ClassificationReport:
         params=params,
         determinants=dets,
         sign_case=case,
-        verdicts=verdicts,
-        equilibria=equilibria,
+        verdicts={kind: dict(scoped) for kind, scoped in row.items()},
+        equilibria=find_equilibria(params),
         portrait_class_full=serial,
         portrait_class_quadrant=QUADRANT_REPRESENTATIVE[serial],
     )
@@ -365,14 +372,17 @@ def thm_no_open_quadrant_equilibrium(triple: DeterminantTriple) -> bool:
     return _axis1_dominance(signs) or _axis1_dominance(_species_swap(signs))
 
 
+_SINK = StabilityClass(Verdict.ASYMPTOTICALLY_STABLE, Scope.INTERIOR_ONLY, Basis.LINEARIZATION)
+_SADDLE = StabilityClass(Verdict.SADDLE, Scope.FULL_NEIGHBORHOOD, Basis.LINEARIZATION)
+
+
 def thm_interior_class(triple: DeterminantTriple) -> Optional[StabilityClass]:
     """Interior-equilibrium verdict: a sink for (+,+,-), a saddle for
     (-,-,+), absent otherwise."""
     if _coexistence(triple.signs):
-        return StabilityClass(Verdict.ASYMPTOTICALLY_STABLE, Scope.INTERIOR_ONLY,
-                              Basis.LINEARIZATION)
+        return _SINK
     if _bistability(triple.signs):
-        return StabilityClass(Verdict.SADDLE, Scope.FULL_NEIGHBORHOOD, Basis.LINEARIZATION)
+        return _SADDLE
     return None
 
 

@@ -9,8 +9,6 @@ exact classification from the outside.  The main pieces are
   Rosenbrock method ROS3 while a stiffness test on the exact Jacobian finds
   the run pinned at RKF45's stability limit,
 * nullcline geometry with per-segment crossing directions,
-* the wedge regions between the oblique nullclines used by the semi-stable
-  analysis, with exact membership tests,
 * a Lyapunov-function checker that differentiates the candidate function
   numerically (complex step) and compares against its closed-form derivative,
 * an empirical stability probe: launch trajectories in a ring around an
@@ -44,9 +42,6 @@ __all__ = [
     "NullclineCurve",
     "NullclineSet",
     "nullclines",
-    "WedgeSide",
-    "ProbeRegion",
-    "nullcline_wedge",
     "LyapunovTarget",
     "NotApplicable",
     "LyapunovSample",
@@ -597,95 +592,6 @@ def nullclines(params: SystemParams) -> NullclineSet:
 
 
 # ---------------------------------------------------------------------------
-# Wedge regions between the oblique nullclines
-
-
-class WedgeSide(Enum):
-    #: growth factor of species 1 positive, of species 2 negative — the
-    #: wedge hugging the axis-2 equilibrium.
-    NEAR_AXIS2 = "near_axis2"
-    #: the mirror wedge hugging the axis-1 equilibrium.
-    NEAR_AXIS1 = "near_axis1"
-
-
-@dataclass(frozen=True)
-class ProbeRegion:
-    """Open region cut out by strict signs of the two growth factors.
-
-    The growth factors are F1 = b1 - a11*x1 - a12*x2 and
-    F2 = b2 - a21*x1 - a22*x2; membership is decided in exact rational
-    arithmetic.  Near a degenerate axis equilibrium the region degenerates
-    to a thin wedge — the side it lives on flips with the sign of d12,
-    which is exactly what makes these the right probe sets for the
-    semi-stability analysis.
-    """
-
-    params: SystemParams
-    side: WedgeSide
-    anchor: Tuple[Fraction, Fraction]
-
-    def growth_factors(self, x1, x2) -> Tuple[Fraction, Fraction]:
-        p = self.params
-        x1, x2 = Fraction(x1), Fraction(x2)
-        return (p.b1 - p.a11 * x1 - p.a12 * x2, p.b2 - p.a21 * x1 - p.a22 * x2)
-
-    def contains(self, point: Sequence) -> bool:
-        f1, f2 = self.growth_factors(point[0], point[1])
-        if self.side is WedgeSide.NEAR_AXIS2:
-            return f1 > 0 and f2 < 0
-        return f1 < 0 and f2 > 0
-
-    def sample_near(self, radius, count: int = 4,
-                    transverse_sign: Sign = Sign.NEG) -> List[Tuple[Fraction, Fraction]]:
-        """Points of the wedge at distance ~radius from the anchor.
-
-        ``transverse_sign`` picks the side of the axis: NEG is the
-        off-quadrant side (the escaping side when d12 > 0).  Raises
-        ValueError when the wedge is empty on the requested side.
-        """
-        if transverse_sign is Sign.ZERO:
-            raise ValueError("transverse_sign must be POS or NEG")
-        if self.side is WedgeSide.NEAR_AXIS2:
-            points = self._near_axis2_candidates(radius, count, transverse_sign)
-        else:
-            # The species swap maps this wedge onto the NEAR_AXIS2 wedge of
-            # the swapped system, with the two coordinates exchanged.
-            p = self.params
-            twin = nullcline_wedge(SystemParams(b1=p.b2, b2=p.b1, a11=p.a22, a12=p.a21,
-                                                a21=p.a12, a22=p.a11), WedgeSide.NEAR_AXIS2)
-            points = [(x1, x2) for x2, x1 in
-                      twin._near_axis2_candidates(radius, count, transverse_sign)]
-        if not all(self.contains(point) for point in points):
-            raise ValueError(
-                f"wedge {self.side.value} is empty on the "
-                f"{'positive' if transverse_sign is Sign.POS else 'negative'} side "
-                f"for these parameters (d12 has the wrong sign)"
-            )
-        return points
-
-    def _near_axis2_candidates(self, radius, count: int, transverse_sign: Sign
-                               ) -> List[Tuple[Fraction, Fraction]]:
-        """The points :meth:`sample_near` tries in a NEAR_AXIS2 wedge."""
-        p = self.params
-        d = compute_determinants(p)
-        r = Fraction(radius)
-        u = r / 2 if transverse_sign is Sign.POS else -r / 2
-        v_a = (-d.d122 / p.a22 - p.a11 * u) / p.a12   # F1 = 0 boundary
-        v_b = -(p.a21 / p.a22) * u                    # F2 = 0 boundary
-        lo, hi = min(v_a, v_b), max(v_a, v_b)
-        return [(self.anchor[0] + u, self.anchor[1] + lo + (hi - lo) * Fraction(i, count + 1))
-                for i in range(1, count + 1)]
-
-
-def nullcline_wedge(params: SystemParams, side: WedgeSide) -> ProbeRegion:
-    if side is WedgeSide.NEAR_AXIS2:
-        anchor = (Fraction(0), params.b2 / params.a22)
-    else:
-        anchor = (params.b1 / params.a11, Fraction(0))
-    return ProbeRegion(params=params, side=side, anchor=anchor)
-
-
-# ---------------------------------------------------------------------------
 # Lyapunov verification
 
 
@@ -970,19 +876,28 @@ def _probe_radius(params: SystemParams, eq: Equilibrium) -> float:
 def _wedge_starts(
     params: SystemParams, eq: Equilibrium, radius: float
 ) -> List[Tuple[Fraction, Fraction]]:
-    """Escape-side wedge points for a degenerate axis equilibrium, if any."""
+    """Exact escape-side wedge points for a degenerate axis equilibrium.
+
+    With d12 > 0 and d122 = 0 the axis-2 equilibrium repels the thin wedge
+    b1 - a11*x1 - a12*x2 > 0 > b2 - a21*x1 - a22*x2.  At x1 = u = -radius/2 it
+    is the open interval of offsets from b2/a22 between -(a21/a22)*u and
+    -(a11/a12)*u.  The axis-1 mirror (d112 = 0) swaps the species.
+    """
     d = compute_determinants(params)
     if d.d12 <= 0:
         return []
+    u = -Fraction(radius) / 2
     if eq.kind is EquilibriumKind.AXIS2 and d.d122 == 0:
-        side = WedgeSide.NEAR_AXIS2
+        lo, hi = -(params.a21 / params.a22) * u, -(params.a11 / params.a12) * u
     elif eq.kind is EquilibriumKind.AXIS1 and d.d112 == 0:
-        side = WedgeSide.NEAR_AXIS1
+        lo, hi = -(params.a12 / params.a11) * u, -(params.a22 / params.a21) * u
     else:
         return []
-    wedge = nullcline_wedge(params, side)
-    return wedge.sample_near(Fraction(radius), count=_WEDGE_PROBE_COUNT,
-                             transverse_sign=Sign.NEG)
+    n = _WEDGE_PROBE_COUNT
+    offsets = [lo + (hi - lo) * Fraction(i, n + 1) for i in range(1, n + 1)]
+    if eq.kind is EquilibriumKind.AXIS2:
+        return [(u, params.b2 / params.a22 + v) for v in offsets]
+    return [(params.b1 / params.a11 + v, u) for v in offsets]
 
 
 def empirical_stability(

@@ -6,7 +6,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lvcompete as lv
@@ -25,6 +25,7 @@ from lvcompete import (
     is_asymptotically_stable,
     is_unstable,
 )
+from lvcompete.classifier import linearization_verdict
 
 K = EquilibriumKind
 
@@ -35,6 +36,18 @@ params_strategy = st.builds(
     SystemParams, b1=positive, b2=positive,
     a11=positive, a12=positive, a21=positive, a22=positive,
 )
+
+
+# The acceptance distribution (numerators 1-12 over denominators 1-4), and
+# every feasible triple, the zero-determinant boundaries included.
+acceptance_rationals = st.builds(Fraction, st.integers(1, 12), st.integers(1, 4))
+acceptance_params = st.builds(SystemParams, *[acceptance_rationals] * 6)
+triple_params = st.builds(
+    lambda triple, seed: lv.sample_params(triple, rng_seed=seed),
+    st.sampled_from(lv.feasible_sign_triples()),
+    st.integers(0, 2 ** 32 - 1),
+)
+SCOPES = (Scope.FULL_NEIGHBORHOOD, Scope.FIRST_QUADRANT_CLOSED)
 
 
 def triple_from_glyphs(glyphs: str) -> DeterminantTriple:
@@ -223,3 +236,68 @@ def test_verdict_lookup_for_absent_kind(gallery_params):
     assert rep.verdict_at(K.INTERIOR) is None
     assert rep.verdict_at(K.LINE_MEMBER) is None
     assert rep.line is None
+
+
+def per_system_verdicts(p: SystemParams) -> dict:
+    """The verdicts read from each equilibrium of this one system: the exact
+    signs of its eigenvalue real parts, the sign of d12 when one is zero,
+    and NON_ISOLATED along a line of equilibria."""
+    s12 = lv.compute_determinants(p).signs[0]
+
+    def same(verdict: Verdict, basis: Basis) -> dict:
+        return {scope: StabilityClass(verdict, scope, basis) for scope in SCOPES}
+
+    verdicts = {}
+    for eq in lv.find_equilibria(p):
+        if isinstance(eq, lv.EquilibriumLine):
+            for kind in (K.AXIS1, K.AXIS2, K.LINE_MEMBER):
+                verdicts[kind] = same(Verdict.NON_ISOLATED, Basis.LINE_OF_EQUILIBRIA)
+            continue
+        verdict = linearization_verdict(*eq.eigenvalues.realpart_signs)
+        if verdict is not None:
+            verdicts[eq.kind] = same(verdict, Basis.LINEARIZATION)
+        elif s12 > 0:
+            verdicts[eq.kind] = {
+                Scope.FULL_NEIGHBORHOOD: StabilityClass(
+                    Verdict.SEMI_STABLE, Scope.FULL_NEIGHBORHOOD, Basis.NULLCLINE_ARGUMENT),
+                Scope.FIRST_QUADRANT_CLOSED: StabilityClass(
+                    Verdict.ASYMPTOTICALLY_STABLE, Scope.FIRST_QUADRANT_CLOSED,
+                    Basis.LYAPUNOV_FUNCTION),
+            }
+        else:
+            verdicts[eq.kind] = same(Verdict.UNSTABLE, Basis.NULLCLINE_ARGUMENT)
+    return verdicts
+
+
+@settings(max_examples=300)
+@given(st.one_of(acceptance_params, triple_params))
+def test_verdict_rows_match_each_systems_eigenvalues(p):
+    """The row of the sign triple equals the verdicts read from the system's
+    own equilibria, in the same order."""
+    verdicts = classify(p).verdicts
+    expected = per_system_verdicts(p)
+    assert verdicts == expected
+    assert list(verdicts) == list(expected)
+    assert all(list(scoped) == list(SCOPES) for scoped in verdicts.values())
+
+
+def test_reports_share_no_mutable_verdicts(gallery_params):
+    """Mutating one report's verdict dicts leaves the next report of the same
+    sign triple unchanged."""
+    for label in ("case1", "case2", "case9"):
+        p = gallery_params[label]
+        twin = lv.sample_params(lv.compute_determinants(p).signs, rng_seed=3)
+        expected = classify(p).to_json_dict()["verdicts"]
+        report = classify(p)
+        report.verdicts[K.AXIS2][Scope.FULL_NEIGHBORHOOD] = StabilityClass(
+            Verdict.SADDLE, Scope.FULL_NEIGHBORHOOD, Basis.LINEARIZATION)
+        del report.verdicts[K.ORIGIN]
+        assert classify(p).to_json_dict()["verdicts"] == expected, label
+        assert classify(twin).to_json_dict()["verdicts"] == expected, label
+    # The three kinds of the line case hold three separate dicts.
+    report = classify(gallery_params["case9"])
+    line_kinds = (K.AXIS1, K.AXIS2, K.LINE_MEMBER)
+    assert len({id(report.verdicts[kind]) for kind in line_kinds}) == 3
+    report.verdicts[K.AXIS1].clear()
+    assert report.verdict_at(K.AXIS2).verdict is Verdict.NON_ISOLATED
+    assert report.verdict_at(K.LINE_MEMBER).verdict is Verdict.NON_ISOLATED

@@ -1,4 +1,4 @@
-"""Numerical layer: integrator, nullclines, wedges, Lyapunov, probes.
+"""Numerical layer: integrator, nullclines, wedge starts, Lyapunov, probes.
 
 Expected values come from three kinds of oracle: closed-form solutions
 (logistic flow, the conserved ratio of the degenerate case), exact rational
@@ -22,14 +22,13 @@ from lvcompete import (
     ProbeProtocol,
     ProbeScope,
     SystemParams,
-    WedgeSide,
     classify,
     empirical_matches,
     empirical_stability,
     feasible_sign_triples,
+    find_equilibria,
     integrate,
     lyapunov_verify,
-    nullcline_wedge,
     nullclines,
     rhs_exact,
     sample_params,
@@ -42,6 +41,8 @@ from lvcompete.dynamics import (
     ProbeOutcome,
     TerminalStatus,
     _VERTICAL_FLOW,
+    _probe_radius,
+    _wedge_starts,
 )
 from lvcompete.equilibria import Equilibrium, EquilibriumLine
 from lvcompete.exact import Sign
@@ -498,62 +499,79 @@ def test_segment_tags_match_the_field_for_uniform_draws(params):
 
 
 # ---------------------------------------------------------------------------
-# wedges
+# wedge starts
 
 
-def test_wedge_sits_off_quadrant_when_d12_is_positive(gallery_params):
-    wedge = nullcline_wedge(gallery_params["case2"], WedgeSide.NEAR_AXIS2)
-    assert wedge.anchor == (0, 2)
-    assert wedge.contains((Fraction(-1, 1000), 2 + Fraction(3, 4000)))
-    assert not wedge.contains((Fraction(1, 1000), 2 + Fraction(3, 4000)))
-    assert not wedge.contains(wedge.anchor)  # strict inequalities
+def _growth_factors(p: SystemParams, point):
+    x1, x2 = point
+    return (p.b1 - p.a11 * x1 - p.a12 * x2, p.b2 - p.a21 * x1 - p.a22 * x2)
 
 
-def test_wedge_sample_points_are_exact_members(gallery_params):
-    wedge = nullcline_wedge(gallery_params["case2"], WedgeSide.NEAR_AXIS2)
-    pts = wedge.sample_near(Fraction(1, 1000), count=5)
-    assert len(pts) == 5
-    for x1, x2 in pts:
-        assert isinstance(x1, Fraction) and isinstance(x2, Fraction)
-        assert x1 == Fraction(-1, 2000)  # transverse offset is -radius/2
-        assert wedge.contains((x1, x2))
+def _axis_equilibrium(p: SystemParams, kind: EquilibriumKind) -> Equilibrium:
+    return next(e for e in find_equilibria(p) if e.kind is kind)
 
 
-def test_wedge_boundary_points_are_excluded(gallery_params):
+#: The triples whose degenerate axis equilibrium has an escaping wedge:
+#: d12 > 0 and one minor zero.
+WEDGE_TRIPLES = [t for t in feasible_sign_triples() if t[0] is Sign.POS and Sign.ZERO in t]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(WEDGE_TRIPLES), st.integers(0, 2 ** 32 - 1),
+       st.builds(Fraction, st.integers(1, 100), st.integers(1, 10_000)))
+def test_wedge_starts_lie_strictly_inside_the_escaping_wedge(triple, seed, radius):
+    """Four exact points on the line x1 = -r/2 with F1 > 0 > F2 beside a
+    degenerate axis-2 equilibrium; the mirror image beside axis 1."""
+    p = sample_params(triple, rng_seed=seed)
+    kind = EquilibriumKind.AXIS2 if triple[2] is Sign.ZERO else EquilibriumKind.AXIS1
+    points = _wedge_starts(p, _axis_equilibrium(p, kind), radius)
+    assert len(points) == 4 and len(set(points)) == 4
+    for point in points:
+        assert all(type(c) is Fraction for c in point)
+        f1, f2 = _growth_factors(p, point)
+        if kind is EquilibriumKind.AXIS2:
+            assert point[0] == -radius / 2
+            assert f1 > 0 > f2
+        else:
+            assert point[1] == -radius / 2
+            assert f2 > 0 > f1
+
+
+def test_wedge_starts_are_empty_without_an_escaping_wedge(gallery_params):
+    # case6 and case7 have a degenerate axis equilibrium but d12 < 0: their
+    # wedge lies inside the quadrant and nothing escapes on the far side.
+    for label in ("case6", "case7"):
+        p = gallery_params[label]
+        for eq in find_equilibria(p, include_off_quadrant=True):
+            assert _wedge_starts(p, eq, 1e-3) == [], label
+    # case2 has d12 > 0, but only its axis-2 minor vanishes.
     p = gallery_params["case2"]
-    wedge = nullcline_wedge(p, WedgeSide.NEAR_AXIS2)
-    u = Fraction(-1, 2000)
-    # On the F2 = 0 boundary at x1 = u the point fails strict membership.
-    on_boundary = (u, -(p.a21 / p.a22) * u + wedge.anchor[1])
-    f1, f2 = wedge.growth_factors(*on_boundary)
-    assert f2 == 0
-    assert not wedge.contains(on_boundary)
+    assert _wedge_starts(p, _axis_equilibrium(p, EquilibriumKind.AXIS1), 1e-3) == []
+    assert _wedge_starts(p, _axis_equilibrium(p, EquilibriumKind.ORIGIN), 1e-3) == []
 
 
-def test_wedge_empty_side_raises(gallery_params):
-    wedge = nullcline_wedge(gallery_params["case2"], WedgeSide.NEAR_AXIS2)
-    with pytest.raises(ValueError, match="d12 has the wrong sign"):
-        wedge.sample_near(Fraction(1, 1000), transverse_sign=Sign.POS)
-    with pytest.raises(ValueError, match="POS or NEG"):
-        wedge.sample_near(Fraction(1, 1000), transverse_sign=Sign.ZERO)
-
-
-def test_wedge_flips_sides_with_negative_d12(gallery_params):
-    """case7 has d12 < 0: the same construction now lives inside the
-    quadrant and the off-quadrant side is empty."""
-    wedge = nullcline_wedge(gallery_params["case7"], WedgeSide.NEAR_AXIS2)
-    assert wedge.anchor == (0, 1)
-    pts = wedge.sample_near(Fraction(1, 1000), count=4, transverse_sign=Sign.POS)
-    assert all(wedge.contains(q) and q[0] > 0 for q in pts)
-    with pytest.raises(ValueError, match="d12 has the wrong sign"):
-        wedge.sample_near(Fraction(1, 1000))
-
-
-def test_growth_factors_are_exact(gallery_params):
-    wedge = nullcline_wedge(gallery_params["case2"], WedgeSide.NEAR_AXIS2)
-    f1, f2 = wedge.growth_factors(Fraction(1, 3), Fraction(1, 7))
-    assert f1 == 2 - Fraction(1, 3) - Fraction(1, 7)
-    assert f2 == 4 - Fraction(1, 3) - 2 * Fraction(1, 7)
+def test_wedge_starts_at_the_probe_radius_are_pinned(gallery_params):
+    """The exact points ``empirical_stability`` plants beside the
+    semi-stable axis equilibria of case2 and case4, at its probe radius."""
+    expected = {
+        "case2": (EquilibriumKind.AXIS2, [
+            ("-1152921504606847/1152921504606846976", "11532673810582290301/5764607523034234880"),
+            ("-1152921504606847/1152921504606846976", "23066500542669187449/11529215046068469760"),
+            ("-1152921504606847/1152921504606846976", "2883456683021724287/1441151880758558720"),
+            ("-1152921504606847/1152921504606846976", "23068806385678401143/11529215046068469760"),
+        ]),
+        "case4": (EquilibriumKind.AXIS1, [
+            ("2885762526030937981/2882303761517117440", "-1152921504606847/2305843009213693952"),
+            ("5772677973566482809/5764607523034234880", "-1152921504606847/2305843009213693952"),
+            ("721728861883886207/720575940379279360", "-1152921504606847/2305843009213693952"),
+            ("5774983816575696503/5764607523034234880", "-1152921504606847/2305843009213693952"),
+        ]),
+    }
+    for label, (kind, points) in expected.items():
+        p = gallery_params[label]
+        eq = _axis_equilibrium(p, kind)
+        assert _wedge_starts(p, eq, _probe_radius(p, eq)) == [
+            (Fraction(x1), Fraction(x2)) for x1, x2 in points], label
 
 
 # ---------------------------------------------------------------------------

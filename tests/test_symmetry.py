@@ -7,8 +7,8 @@ equilibria.  Scaling every a_ij by c > 0, or all six parameters by k > 0,
 multiplies each determinant by a positive factor.  Neither property
 depends on a frozen table, so both check the classifier, the equilibrium
 finder, the sign-condition predicates and the path scanner against the
-model itself.  The swap also checks the wedge sampler, whose NEAR_AXIS1
-side must be the mirror image of the NEAR_AXIS2 side, the two Lyapunov
+model itself.  The swap also checks the probes' wedge starts, whose axis-1
+points must mirror the axis-2 points of the swapped system, the two Lyapunov
 constructions, the probe verdicts on the gallery systems and the axis
 nullclines; the rescalings check the breakpoints and tags of all four
 nullcline branches.
@@ -37,7 +37,6 @@ from lvcompete import (
     ProbeScope,
     Sign,
     SystemParams,
-    WedgeSide,
     WhichDeterminant,
     classify,
     compute_determinants,
@@ -47,7 +46,6 @@ from lvcompete import (
     find_equilibria,
     four_case_catalog,
     lyapunov_verify,
-    nullcline_wedge,
     nullclines,
     sample_params,
     scan_path,
@@ -59,6 +57,7 @@ from lvcompete import (
     thm_interior_class,
     thm_no_open_quadrant_equilibrium,
 )
+from lvcompete.dynamics import _wedge_starts
 
 K = EquilibriumKind
 W = WhichDeterminant
@@ -238,25 +237,26 @@ def test_scan_serials_chain_from_start_to_end(path):
         assert events[-1].serial_after == end
 
 
-def wedge_samples(p: SystemParams, side: WedgeSide, radius: Fraction, count: int,
-                  transverse_sign: Sign):
-    """The sampled points, or None when the wedge is empty on that side."""
-    try:
-        return nullcline_wedge(p, side).sample_near(radius, count, transverse_sign)
-    except ValueError as exc:
-        assert side.value in str(exc), "the error must name the requested side"
-        return None
+# Systems with an escaping wedge beside an axis equilibrium (d12 > 0 and one
+# minor zero), which the other draws hit only now and then.
+wedge_systems = st.builds(
+    lambda triple, seed: sample_params(triple, rng_seed=seed),
+    st.sampled_from([t for t in feasible_sign_triples() if t[0] > 0 and 0 in t]),
+    st.integers(0, 2 ** 32 - 1),
+)
 
 
 @PROFILE
-@given(systems, st.builds(Fraction, st.integers(1, 100), st.integers(1, 10_000)),
-       st.integers(1, 6), st.sampled_from([Sign.POS, Sign.NEG]))
-def test_swap_mirrors_the_wedge_samples(p, radius, count, transverse_sign):
-    points = wedge_samples(p, WedgeSide.NEAR_AXIS1, radius, count, transverse_sign)
-    mirrored = wedge_samples(swap(p), WedgeSide.NEAR_AXIS2, radius, count, transverse_sign)
-    assert (mirrored is None) == (points is None)
-    if points is not None:
-        assert [(x2, x1) for x1, x2 in mirrored] == points
+@given(st.one_of(systems, wedge_systems),
+       st.builds(Fraction, st.integers(1, 100), st.integers(1, 10_000)))
+def test_swap_mirrors_the_wedge_starts(p, radius):
+    mirrored = {e.kind: e for e in find_equilibria(swap(p), include_off_quadrant=True)
+                if isinstance(e, Equilibrium)}
+    for eq in find_equilibria(p, include_off_quadrant=True):
+        if isinstance(eq, Equilibrium):
+            twin = mirrored[KIND_SWAP[eq.kind]]
+            assert [(x2, x1) for x1, x2 in _wedge_starts(swap(p), twin, radius)] == \
+                _wedge_starts(p, eq, radius)
 
 
 def lyapunov_or_none(p: SystemParams, which: LyapunovTarget):

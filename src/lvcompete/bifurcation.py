@@ -117,74 +117,65 @@ def _root_surd(poly: QuadraticPoly, branch: int) -> QuadraticSurd:
 class PathRoot:
     """A root of one determinant polynomial inside the open interval (0, 1).
 
-    Rational roots carry their exact value.  An irrational root is the
-    surd vertex +- sqrt(q) of ``poly`` on the side of the vertex where its
-    ``bracket``, a grid cell of width <= ``DEFAULT_BRACKET_WIDTH``, lies.
+    ``value`` is the root exactly: a fraction, or the irrational surd
+    vertex +- sqrt(q) of ``poly``.  The print forms are derived from it:
+    ``exact`` for a rational root, and for an irrational one the
+    ``bracket``, a grid cell of width <= ``DEFAULT_BRACKET_WIDTH``.
     """
 
     poly: QuadraticPoly
-    exact: Optional[Fraction]
-    bracket: Optional[Tuple[Fraction, Fraction]]
+    value: ExactNumber
     multiplicity: int
     sign_change: bool
 
     @property
-    def approx(self) -> float:
-        if self.exact is not None:
-            return float(self.exact)
-        lo, hi = self.bracket
-        return float((lo + hi) / 2)
+    def exact(self) -> Optional[Fraction]:
+        return None if isinstance(self.value, QuadraticSurd) else self.value
+
+    @property
+    def bracket(self) -> Optional[Tuple[Fraction, Fraction]]:
+        return _bracket(self.value) if isinstance(self.value, QuadraticSurd) else None
 
     @property
     def representative(self) -> Fraction:
         """An exact rational stand-in: the root itself, or the bracket midpoint."""
-        if self.exact is not None:
-            return self.exact
-        lo, hi = self.bracket
+        bracket = self.bracket
+        if bracket is None:
+            return self.value
+        lo, hi = bracket
         return (lo + hi) / 2
 
     @property
-    def value(self) -> ExactNumber:
-        """The root exactly: its fraction, or the surd on its bracket's side
-        of the vertex.  A rational root never equals an irrational one."""
-        if self.exact is not None:
-            return self.exact
-        right = _root_surd(self.poly, 1)
-        return right if self.bracket[0] >= right.p else replace(right, branch=-1)
+    def approx(self) -> float:
+        return float(self.representative)
 
     def to_json_dict(self) -> dict:
+        bracket = self.bracket
         return {
             "exact": None if self.exact is None else str(self.exact),
-            "bracket": None if self.bracket is None else [str(self.bracket[0]),
-                                                          str(self.bracket[1])],
+            "bracket": None if bracket is None else [str(bracket[0]), str(bracket[1])],
             "approx": self.approx,
             "multiplicity": self.multiplicity,
             "sign_change": self.sign_change,
         }
 
 
-def _bracket(root: QuadraticSurd) -> Optional[Tuple[Fraction, Fraction]]:
-    """The grid cell of an irrational root vertex +- sqrt(q), or ``None``
-    when the root lies outside (0, 1).
+def _bracket(root: QuadraticSurd) -> Tuple[Fraction, Fraction]:
+    """The grid cell of an irrational root vertex +- sqrt(q) inside (0, 1).
 
     The cell is the one that bisecting the root's monotone piece [lo, hi]
     (between the cuts 0, vertex and 1) ends in: after the fewest halvings n
     that leave w = (hi - lo) / 2**n <= ``DEFAULT_BRACKET_WIDTH``, it is
-    [lo + k*w, lo + (k+1)*w] with k = floor((root - lo) / w).  An irrational
-    root never sits on a grid point, so it lies in (lo, hi) iff 0 <= k < 2**n.
+    [lo + k*w, lo + (k+1)*w] with k = floor((root - lo) / w).
     """
     vertex = root.p
     if root.branch < 0:
         lo, hi = Fraction(0), min(vertex, Fraction(1))
     else:
         lo, hi = max(vertex, Fraction(0)), Fraction(1)
-    if hi <= lo:
-        return None
     n = (math.ceil((hi - lo) / DEFAULT_BRACKET_WIDTH) - 1).bit_length()
     w = (hi - lo) / 2 ** n
     k = math.floor(replace(root, p=vertex - lo, r=w))  # (root - lo) / w
-    if not 0 <= k < 2 ** n:
-        return None
     return (lo + k * w, lo + (k + 1) * w)
 
 
@@ -194,24 +185,22 @@ def _roots_in_open_unit_interval(poly: QuadraticPoly) -> List[PathRoot]:
     c0, c1, c2 = poly.c0, poly.c1, poly.c2
     if c2 == 0:
         if c1 != 0 and 0 < -c0 / c1 < 1:
-            return [PathRoot(poly=poly, exact=-c0 / c1, bracket=None,
-                             multiplicity=1, sign_change=True)]
+            return [PathRoot(poly=poly, value=-c0 / c1, multiplicity=1, sign_change=True)]
         return []
 
     left = _root_surd(poly, -1)
     vertex, q = left.p, left.q
     if q == 0 and 0 < vertex < 1:
-        return [PathRoot(poly=poly, exact=vertex, bracket=None,
-                         multiplicity=2, sign_change=False)]
+        return [PathRoot(poly=poly, value=vertex, multiplicity=2, sign_change=False)]
     if q <= 0:
         return []
     roots: List[PathRoot] = []
     for surd in (left, replace(left, branch=1)):
-        exact = surd.as_rational()
-        bracket = None if exact is not None else _bracket(surd)
-        if bracket is not None or (exact is not None and 0 < exact < 1):
-            roots.append(PathRoot(poly=poly, exact=exact, bracket=bracket,
-                                  multiplicity=1, sign_change=True))
+        value = surd.as_rational()
+        if value is None:
+            value = surd
+        if exact_compare(value, 0) is Sign.POS and exact_compare(value, 1) is Sign.NEG:
+            roots.append(PathRoot(poly=poly, value=value, multiplicity=1, sign_change=True))
     return roots
 
 
@@ -249,6 +238,13 @@ class SwapSummary:
 
 @dataclass(frozen=True)
 class BifurcationEvent:
+    """One event of a path scan.
+
+    ``collision_point`` is the axis equilibrium at the root's
+    ``representative``.  For an irrational root that is the bracket
+    midpoint, so the point is a rational stand-in, not the exact point.
+    """
+
     root: PathRoot
     vanishing: Tuple[WhichDeterminant, ...]
     kind: EventKind
@@ -369,14 +365,14 @@ def scan_path(path: ParameterPath) -> PathScan:
     polys = determinant_polys(path)
     identically_zero = frozenset(w for w, p in polys.items() if p.is_identically_zero)
 
-    located = [(root.value, which, root)
+    located = [(which, root)
                for which, poly in polys.items()
                for root in _roots_in_open_unit_interval(poly)]
-    located.sort(key=cmp_to_key(lambda x, y: exact_compare(x[0], y[0])))
+    located.sort(key=cmp_to_key(lambda x, y: exact_compare(x[1].value, y[1].value)))
     events: List[BifurcationEvent] = []
     # An irrational root has one form vertex +- sqrt(q), so equal roots are ==.
-    for _, run in itertools.groupby(located, key=lambda x: x[0]):
-        group = [(which, root) for _, which, root in run]
+    for _, run in itertools.groupby(located, key=lambda x: x[1].value):
+        group = list(run)
         primary = group[0][1]
         vanishing = frozenset(w for w, _ in group) | identically_zero
         ordered = tuple(sorted(vanishing, key=lambda w: w.value))

@@ -44,7 +44,6 @@ __all__ = [
     "nullclines",
     "LyapunovTarget",
     "NotApplicable",
-    "LyapunovSample",
     "LyapunovCheck",
     "lyapunov_verify",
     "ProbeScope",
@@ -60,21 +59,13 @@ __all__ = [
 Point = Tuple[float, float]
 
 
-def _field_function(params: SystemParams) -> Callable[[Point], Point]:
-    b1, b2, a11, a12, a21, a22 = params.as_float_tuple()
-
-    def f(x: Point) -> Point:
-        x1, x2 = x
-        # Factored form: an exactly-zero coordinate has an exactly-zero
-        # derivative, so the axes stay invariant step after step.
-        return (x1 * (b1 - a11 * x1 - a12 * x2), x2 * (b2 - a21 * x1 - a22 * x2))
-
-    return f
-
-
 def vector_field(params: SystemParams, point: Sequence[float]) -> Point:
     """Right-hand side of the system at a point, in floating point."""
-    return _field_function(params)((float(point[0]), float(point[1])))
+    b1, b2, a11, a12, a21, a22 = params.as_float_tuple()
+    x1, x2 = float(point[0]), float(point[1])
+    # Factored form: an exactly-zero coordinate has an exactly-zero
+    # derivative, so the axes stay invariant step after step.
+    return (x1 * (b1 - a11 * x1 - a12 * x2), x2 * (b2 - a21 * x1 - a22 * x2))
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +116,6 @@ class IntegratorOptions:
 class Trajectory:
     samples: List[Tuple[float, float, float]]
     terminal_status: TerminalStatus
-    terminal_bound: Optional[float] = None
     n_accepted: int = 0
     n_rejected: int = 0
 
@@ -203,10 +193,6 @@ def _max_drift(window: deque, x1: float, x2: float) -> float:
     return max(max(abs(x1 - w1), abs(x2 - w2)) for _, w1, w2 in window)
 
 
-def _norm_inf(x: Point) -> float:
-    return max(abs(x[0]), abs(x[1]))
-
-
 def integrate(
     params: SystemParams,
     initial: Sequence[float],
@@ -260,17 +246,16 @@ def integrate(
     # ``finish`` takes the final state as arguments: a closure over t, x1 and
     # x2 would turn them into cell variables, which are slower to read in
     # the stepping loop.
-    def finish(status: TerminalStatus, t: float, x1: float, x2: float,
-               **extra) -> Trajectory:
+    def finish(status: TerminalStatus, t: float, x1: float, x2: float) -> Trajectory:
         if samples[-1][0] != t:
             samples.append((t, x1, x2))
         return Trajectory(samples=samples, terminal_status=status,
-                          n_accepted=n_accepted, n_rejected=n_rejected, **extra)
+                          n_accepted=n_accepted, n_rejected=n_rejected)
 
     if stop_condition is not None and stop_condition(t, (x1, x2)):
         return finish(TerminalStatus.STOPPED, t, x1, x2)
     if max(abs(x1), abs(x2)) > escape_bound:
-        return finish(TerminalStatus.LEFT_DOMAIN, t, x1, x2, terminal_bound=escape_bound)
+        return finish(TerminalStatus.LEFT_DOMAIN, t, x1, x2)
     # Stage-1 slopes; reused across rejected retries and carried over from
     # the convergence check of the previous accepted step.
     k11 = x1 * (b1 - a11 * x1 - a12 * x2)
@@ -394,8 +379,7 @@ def integrate(
             return finish(TerminalStatus.STOPPED, t, x1, x2)
         if not (abs(x1) <= escape_bound and abs(x2) <= escape_bound):
             # non-finite coordinates land here too
-            return finish(TerminalStatus.LEFT_DOMAIN, t, x1, x2,
-                          terminal_bound=escape_bound)
+            return finish(TerminalStatus.LEFT_DOMAIN, t, x1, x2)
 
         # Next step's stage-1 slopes, doubling as the convergence velocity.
         k11 = x1 * (b1 - a11 * x1 - a12 * x2)
@@ -605,22 +589,14 @@ class NotApplicable(ValueError):
 
 
 @dataclass(frozen=True)
-class LyapunovSample:
-    x1: float
-    x2: float
-    v: float
-    vdot_closed: float
-    vdot_chain: float
-    rel_gap: float
-    sign_matches: bool
-
-
-@dataclass(frozen=True)
 class LyapunovCheck:
+    """Summary over the sample points: the largest relative gap between the
+    two routes to dV/dt, and whether every sample had the expected sign of
+    dV/dt and V > 0."""
+
     which: LyapunovTarget
     exponents: Tuple[Fraction, Fraction]
     d12_sign: Sign
-    samples: List[LyapunovSample]
     max_rel_gap: float
     all_signs_match: bool
     all_positive: bool
@@ -655,7 +631,7 @@ def lyapunov_verify(
     derivative along the flow collapses to -d12 * x1^(a22+1) * x2^(-a12)
     when d122 = 0 (mirror formulas for the axis-1 case).  Two independent
     routes to dV/dt are compared at every sample: the closed form, and a
-    complex-step gradient of the V closure dotted with the vector field.
+    complex-step gradient of V dotted with the vector field.
     The sign of dV/dt must equal -sign(d12) throughout the open quadrant.
     The ``sample_count`` points, at least one, fill the fixed box (0.1, 5)^2
     (``_LYAPUNOV_BOX``); ``seed`` offsets the quasi-random sequence.
@@ -677,14 +653,9 @@ def lyapunov_verify(
     lo, hi = _LYAPUNOV_BOX
     pf, qf = float(p_exp), float(q_exp)
     d12f = float(d.d12)
-    f = _field_function(params)
-
-    def v_closure(z1: complex, z2: complex) -> complex:
-        return cmath.exp(pf * cmath.log(z1) + qf * cmath.log(z2))
-
+    b1, b2, a11, a12, a21, a22 = params.as_float_tuple()
     h = 1e-200
     expected_sign = sign_of(-d.d12)
-    samples: List[LyapunovSample] = []
     max_gap = 0.0
     all_signs = True
     all_positive = True
@@ -693,9 +664,13 @@ def lyapunov_verify(
         x2 = lo + w * (hi - lo)
         v = math.exp(pf * math.log(x1) + qf * math.log(x2))
         vdot_closed = -d12f * math.exp((pf + s1) * math.log(x1) + (qf + s2) * math.log(x2))
-        dv1 = v_closure(complex(x1, h), complex(x2, 0.0)).imag / h
-        dv2 = v_closure(complex(x1, 0.0), complex(x2, h)).imag / h
-        f1, f2 = f((x1, x2))
+        # Complex-step partial derivatives of V, dotted with the field.
+        dv1 = cmath.exp(pf * cmath.log(complex(x1, h))
+                        + qf * cmath.log(complex(x2, 0.0))).imag / h
+        dv2 = cmath.exp(pf * cmath.log(complex(x1, 0.0))
+                        + qf * cmath.log(complex(x2, h))).imag / h
+        f1 = x1 * (b1 - a11 * x1 - a12 * x2)
+        f2 = x2 * (b2 - a21 * x1 - a22 * x2)
         vdot_chain = dv1 * f1 + dv2 * f2
         # When the closed form vanishes identically (conserved case) the gap
         # must be judged against the size of the dot product's terms, not
@@ -706,11 +681,8 @@ def lyapunov_verify(
         max_gap = max(max_gap, gap)
         all_signs = all_signs and sign_ok
         all_positive = all_positive and v > 0
-        samples.append(LyapunovSample(x1=x1, x2=x2, v=v, vdot_closed=vdot_closed,
-                                      vdot_chain=vdot_chain, rel_gap=gap,
-                                      sign_matches=sign_ok))
     return LyapunovCheck(which=which, exponents=(p_exp, q_exp), d12_sign=sign_of(d.d12),
-                         samples=samples, max_rel_gap=max_gap,
+                         max_rel_gap=max_gap,
                          all_signs_match=all_signs, all_positive=all_positive)
 
 
@@ -1012,8 +984,9 @@ def empirical_stability(
             outcome = ProbeOutcome.CONVERGED_TO_TARGET
         elif exited and (final_dist > ball or traj.terminal_status is TerminalStatus.LEFT_DOMAIN):
             outcome = ProbeOutcome.ESCAPED
-        elif (math.isfinite(fx1) and math.isfinite(fx2)
-              and _norm_inf(vector_field(params, (fx1, fx2))) <= vel_floor):
+        elif math.isfinite(fx1) and math.isfinite(fx2) and max(
+                abs(fx1 * (b1f - a11f * fx1 - a12f * fx2)),
+                abs(fx2 * (b2f - a21f * fx1 - a22f * fx2))) <= vel_floor:
             outcome = ProbeOutcome.SETTLED_ELSEWHERE
         else:
             outcome = ProbeOutcome.UNDECIDED

@@ -117,14 +117,14 @@ class EquilibriumLine:
     """
 
     params: SystemParams
-    alpha_min: Fraction = Fraction(0)
-    alpha_max: Fraction = field(default=None)  # type: ignore[assignment]
+    alpha_min: Fraction = field(init=False)
+    alpha_max: Fraction = field(init=False)
 
     def __post_init__(self) -> None:
         if any(compute_determinants(self.params).signs):
             raise ValueError("equilibrium line requires all three determinants to vanish")
-        if self.alpha_max is None:
-            object.__setattr__(self, "alpha_max", self.params.b1 / self.params.a12)
+        object.__setattr__(self, "alpha_min", Fraction(0))
+        object.__setattr__(self, "alpha_max", self.params.b1 / self.params.a12)
 
     def member(self, alpha) -> Equilibrium:
         alpha = Fraction(alpha)

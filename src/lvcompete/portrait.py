@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .model import SystemParams
 from .equilibria import Equilibrium
 from .classifier import ClassificationReport, Scope, classify
-from .dynamics import IntegratorOptions, integrate
+from .dynamics import IntegratorOptions, integrate, vector_field
 
 __all__ = ["PortraitSpec", "render_portrait"]
 
@@ -200,8 +200,6 @@ def _place_arrows(canvas: _Canvas, params: SystemParams, pts: List[Tuple[float, 
     total = cum[-1]
     if total < 30.0:
         return
-    from .dynamics import vector_field
-
     for frac in (0.35, 0.75):
         target = total * frac
         k = next(i for i, c in enumerate(cum) if c >= target)

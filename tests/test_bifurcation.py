@@ -20,7 +20,7 @@ from lvcompete.bifurcation import (
     scan_path,
 )
 from lvcompete.equilibria import EquilibriumKind
-from lvcompete.exact import Sign
+from lvcompete.exact import QuadraticSurd, Sign, exact_compare
 
 
 rationals = st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=6)
@@ -29,6 +29,10 @@ param_sets = st.builds(
     b1=rationals, b2=rationals, a11=rationals,
     a12=rationals, a21=rationals, a22=rationals,
 )
+
+# The acceptance distribution: numerators 1-12 over denominators 1-4.
+acceptance_rationals = st.builds(Fraction, st.integers(1, 12), st.integers(1, 4))
+acceptance_params = st.builds(SystemParams, *[acceptance_rationals] * 6)
 
 
 @given(start=param_sets, end=param_sets,
@@ -59,10 +63,9 @@ def test_path_coordinate_is_validated():
 
 def test_rational_and_irrational_roots_never_coincide():
     poly = QuadraticPoly(c0=Fraction(-1, 2), c1=Fraction(2), c2=Fraction(1))
-    rational = PathRoot(poly=poly, exact=Fraction(1, 4), bracket=None,
-                        multiplicity=1, sign_change=True)
-    bracketed = PathRoot(poly=poly, exact=None,
-                         bracket=(Fraction(1, 5), Fraction(1, 3)),
+    rational = PathRoot(poly=poly, value=Fraction(1, 4), multiplicity=1, sign_change=True)
+    # -1 + sqrt(3/2), the root of poly in (0, 1)
+    bracketed = PathRoot(poly=poly, value=QuadraticSurd(Fraction(-1), Fraction(3, 2), Fraction(1)),
                          multiplicity=1, sign_change=True)
     assert rational.value != bracketed.value
     assert rational.value == rational.value
@@ -197,6 +200,30 @@ def test_irrational_crossing_gets_a_tight_bracket():
     assert (event.serial_before, event.serial_after) == (1, 3)
 
 
+@given(start=acceptance_params, end=acceptance_params)
+def test_root_print_forms_derive_from_the_exact_value(start, end):
+    """An irrational root prints as a grid cell that holds it and its
+    midpoint; a rational one as itself.  Events run in exact order."""
+    events = scan_path(ParameterPath(start=start, end=end)).events
+    for event in events:
+        root = event.root
+        if root.exact is None:
+            value = root.value
+            assert isinstance(value, QuadraticSurd) and value.is_real
+            assert value.as_rational() is None
+            lo, hi = root.bracket
+            assert exact_compare(lo, value) is Sign.NEG
+            assert exact_compare(value, hi) is Sign.NEG
+            assert hi - lo <= DEFAULT_BRACKET_WIDTH
+            assert root.approx == float((lo + hi) / 2)
+        else:
+            assert root.bracket is None
+            assert root.poly(root.exact) == 0
+            assert root.approx == float(root.exact)
+    for first, second in zip(events, events[1:]):
+        assert exact_compare(first.root.value, second.root.value) is Sign.NEG
+
+
 @pytest.mark.parametrize("spectator_root,expected", [
     (Fraction(705, 1000), Sign.POS),
     (Fraction(708, 1000), Sign.NEG),
@@ -206,7 +233,7 @@ def test_sign_at_root_shaves_a_bracket_that_straddles_the_spectator(spectator_ro
     # root, so the bracket's end points cannot settle the spectator's sign;
     # the exact value at the surd sqrt(1/2) does.
     root = PathRoot(poly=QuadraticPoly(Fraction(-1, 2), Fraction(0), Fraction(1)),
-                    exact=None, bracket=(Fraction(7, 10), Fraction(71, 100)),
+                    value=QuadraticSurd(Fraction(0), Fraction(1, 2), Fraction(1)),
                     multiplicity=1, sign_change=True)
     spectator = QuadraticPoly(-spectator_root, Fraction(1), Fraction(0))
     assert _sign_at_root(spectator, root) is expected

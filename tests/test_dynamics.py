@@ -130,7 +130,6 @@ def test_off_quadrant_blowup_leaves_the_domain(gallery_params):
     traj = integrate(gallery_params["case1"], (-0.01, 0.5), 100.0,
                      IntegratorOptions(escape_bound=100.0))
     assert traj.terminal_status is TerminalStatus.LEFT_DOMAIN
-    assert traj.terminal_bound == 100.0
     assert max(abs(c) for c in traj.final_point) > 100.0
 
 
@@ -585,7 +584,6 @@ def test_monomial_certificate_for_the_contested_axis(gallery_params):
     assert check.max_rel_gap <= 1e-8
     assert check.all_signs_match and check.all_positive
     assert check.passed()
-    assert all(s.vdot_closed < 0 for s in check.samples)
     # Without samples there is nothing to check, not a vacuous pass.
     for count in (0, -1):
         with pytest.raises(ValueError, match="sample_count must be at least 1"):
@@ -602,7 +600,6 @@ def test_mirror_certificate_for_axis1(gallery_params):
 def test_reversed_d12_reverses_the_derivative_sign(gallery_params):
     check = lyapunov_verify(gallery_params["case7"], LyapunovTarget.FOR_AXIS2)
     assert check.d12_sign is Sign.NEG
-    assert all(s.vdot_closed > 0 for s in check.samples)
     assert check.passed()
 
 
@@ -620,7 +617,7 @@ def test_fully_degenerate_system_conserves_v(gallery_params):
     the dot product's terms."""
     for which in (LyapunovTarget.FOR_AXIS1, LyapunovTarget.FOR_AXIS2):
         check = lyapunov_verify(gallery_params["case9"], which, sample_count=200)
-        assert all(s.vdot_closed == 0 for s in check.samples)
+        assert check.d12_sign is Sign.ZERO and check.all_signs_match
         assert check.max_rel_gap <= 1e-10
         assert check.passed()
 

@@ -233,6 +233,15 @@ class TestEquilibriumLine:
         assert lo.position == (1, 0) and lo.coincides_with is K.AXIS1
         assert hi.position == (0, Fraction(1, 2)) and hi.coincides_with is K.AXIS2
 
+    @pytest.mark.parametrize("bound", ["alpha_min", "alpha_max"])
+    def test_segment_bounds_are_not_constructor_arguments(self, gallery_params, bound):
+        p = gallery_params["case9"]
+        with pytest.raises(TypeError):
+            EquilibriumLine(params=p, **{bound: Fraction(100)})
+        lo, hi = EquilibriumLine(params=p).endpoints()
+        assert lo.position == (p.b1 / p.a11, 0)
+        assert hi.position == (0, p.b1 / p.a12)
+
     def test_member_coordinates_and_eigenvalues(self):
         line = find_equilibria(self.p)[1]
         m = line.member(Fraction(1, 4))

@@ -6,8 +6,10 @@ against plain float evaluation on a wide sweep of rational inputs.
 
 from __future__ import annotations
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -23,6 +25,7 @@ from lvcompete import (
     rational_sqrt,
     sign_of,
 )
+import lvcompete
 from lvcompete.exact import exact_compare
 
 rationals = st.fractions(
@@ -225,3 +228,40 @@ def test_exact_compare_orders_roots_that_floats_tie():
     assert exact_compare(low, half + delta) is Sign.NEG
     assert exact_compare(high, half + delta) is Sign.POS
     assert exact_compare(low, high) is Sign.NEG
+
+
+# ---------------------------------------------------------------------------
+# The exact layer stays float-free
+
+#: The only places in the exact layer that call the builtin ``float``: print
+#: forms and hand-offs to the numerical layer.
+FLOAT_HELPERS = {
+    ("exact.py", "QuadraticSurd.to_complex"),
+    ("exact.py", "QuadraticSurd.to_float"),
+    ("exact.py", "exact_to_complex"),
+    ("model.py", "SystemParams.as_float_tuple"),
+    ("equilibria.py", "Equilibrium.float_position"),
+    ("bifurcation.py", "PathRoot.approx"),
+}
+
+
+def _float_calls(tree: ast.AST, scope: str = ""):
+    """Qualified names of the functions that call ``float(...)`` directly."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _float_calls(node, f"{scope}.{node.name}".lstrip("."))
+            continue
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "float"):
+            yield scope or "<module>"
+        yield from _float_calls(node, scope)
+
+
+def test_exact_layer_calls_float_only_in_print_and_hand_off_helpers():
+    package = Path(lvcompete.__file__).parent
+    found = {
+        (name, scope)
+        for name in ("exact.py", "model.py", "equilibria.py", "classifier.py", "bifurcation.py")
+        for scope in _float_calls(ast.parse((package / name).read_text()))
+    }
+    assert found == FLOAT_HELPERS

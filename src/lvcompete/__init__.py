@@ -40,13 +40,18 @@ from .model import (
     sign_census,
 )
 from .equilibria import (
+    Direction,
     EigenPair,
     Equilibrium,
     EquilibriumKind,
     EquilibriumLine,
+    NullclineBranch,
+    NullclineCurve,
+    NullclineSet,
     find_equilibria,
     interior_point,
     jacobian_at,
+    nullclines,
 )
 from .classifier import (
     QUADRANT_REPRESENTATIVE,
@@ -70,16 +75,12 @@ from .classifier import (
 )
 from .gallery import PORTRAIT_GALLERY, GalleryEntry, gallery_entry, gallery_labels
 from .dynamics import (
-    Direction,
     EmpiricalVerdict,
     EmpiricalVerdictKind,
     IntegratorOptions,
     LyapunovCheck,
     LyapunovTarget,
     NotApplicable,
-    NullclineBranch,
-    NullclineCurve,
-    NullclineSet,
     ProbeOutcome,
     ProbeProtocol,
     ProbeResult,
@@ -90,7 +91,6 @@ from .dynamics import (
     empirical_stability,
     integrate,
     lyapunov_verify,
-    nullclines,
     vector_field,
 )
 from .bifurcation import (
@@ -118,9 +118,10 @@ __all__ = [
     "SignCase", "SystemParams", "all_sign_cases", "as_fraction",
     "compute_determinants", "feasible_sign_triples", "rhs_exact", "sample_params",
     "sign_case", "sign_census",
-    # equilibria
-    "EigenPair", "Equilibrium", "EquilibriumKind", "EquilibriumLine",
-    "find_equilibria", "interior_point", "jacobian_at",
+    # equilibria and nullclines
+    "Direction", "EigenPair", "Equilibrium", "EquilibriumKind", "EquilibriumLine",
+    "NullclineBranch", "NullclineCurve", "NullclineSet", "find_equilibria",
+    "interior_point", "jacobian_at", "nullclines",
     # classification
     "QUADRANT_REPRESENTATIVE", "Basis", "ClassificationReport", "ConsistencyVerdict",
     "InfeasibleSignCase", "Scope", "StabilityClass", "Verdict", "classify",
@@ -132,11 +133,10 @@ __all__ = [
     # gallery
     "PORTRAIT_GALLERY", "GalleryEntry", "gallery_entry", "gallery_labels",
     # dynamics
-    "Direction", "EmpiricalVerdict", "EmpiricalVerdictKind", "IntegratorOptions",
-    "LyapunovCheck", "LyapunovTarget", "NotApplicable", "NullclineBranch",
-    "NullclineCurve", "NullclineSet", "ProbeOutcome", "ProbeProtocol", "ProbeResult",
+    "EmpiricalVerdict", "EmpiricalVerdictKind", "IntegratorOptions", "LyapunovCheck",
+    "LyapunovTarget", "NotApplicable", "ProbeOutcome", "ProbeProtocol", "ProbeResult",
     "ProbeScope", "TerminalStatus", "Trajectory", "empirical_matches",
-    "empirical_stability", "integrate", "lyapunov_verify", "nullclines", "vector_field",
+    "empirical_stability", "integrate", "lyapunov_verify", "vector_field",
     # bifurcation
     "BifurcationEvent", "CatalogEntry", "EventKind", "ParameterPath", "PathScan",
     "SwapSummary", "WhichDeterminant", "four_case_catalog", "scan_path",

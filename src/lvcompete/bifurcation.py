@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .exact import ExactNumber, QuadraticSurd, Sign, exact_compare, sign_of
@@ -120,7 +120,8 @@ class PathRoot:
     ``value`` is the root exactly: a fraction, or the irrational surd
     vertex +- sqrt(q) of ``poly``.  The print forms are derived from it:
     ``exact`` for a rational root, and for an irrational one the
-    ``bracket``, a grid cell of width <= ``DEFAULT_BRACKET_WIDTH``.
+    ``bracket``, a grid cell of width <= ``DEFAULT_BRACKET_WIDTH``, derived
+    on its first read and kept.
     """
 
     poly: QuadraticPoly
@@ -132,7 +133,7 @@ class PathRoot:
     def exact(self) -> Optional[Fraction]:
         return None if isinstance(self.value, QuadraticSurd) else self.value
 
-    @property
+    @cached_property
     def bracket(self) -> Optional[Tuple[Fraction, Fraction]]:
         return _bracket(self.value) if isinstance(self.value, QuadraticSurd) else None
 

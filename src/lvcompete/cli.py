@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .exact import QuadraticSurd
 from .model import ParameterError, SystemParams, as_fraction
-from .equilibria import Equilibrium, EquilibriumKind, find_equilibria
+from .equilibria import Equilibrium, EquilibriumKind, find_equilibria, nullclines
 from .classifier import Scope, classify, cross_check_theorems
 from .dynamics import (
     IntegratorOptions,
@@ -28,7 +28,6 @@ from .dynamics import (
     empirical_stability,
     integrate,
     lyapunov_verify,
-    nullclines,
 )
 from .bifurcation import ParameterPath, scan_path
 from .gallery import PORTRAIT_GALLERY, gallery_entry

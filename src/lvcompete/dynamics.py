@@ -8,7 +8,6 @@ exact classification from the outside.  The main pieces are
   Runge-Kutta-Fehlberg 4(5) by default and the third-order L-stable
   Rosenbrock method ROS3 while a stiffness test on the exact Jacobian finds
   the run pinned at RKF45's stability limit,
-* nullcline geometry with per-segment crossing directions,
 * a Lyapunov-function checker that differentiates the candidate function
   numerically (complex step) and compares against its closed-form derivative,
 * an empirical stability probe: launch trajectories in a ring around an
@@ -36,12 +35,6 @@ __all__ = [
     "TerminalStatus",
     "Trajectory",
     "integrate",
-    "Direction",
-    "NullclineBranch",
-    "NullclineSegment",
-    "NullclineCurve",
-    "NullclineSet",
-    "nullclines",
     "LyapunovTarget",
     "NotApplicable",
     "LyapunovCheck",
@@ -92,9 +85,10 @@ class IntegratorOptions:
     ``conv_tol`` gates the convergence detector (velocity below the
     tolerance *and* total displacement over the trailing 1.0 time units,
     ``_CONV_WINDOW``, below it); set it to 0 to disable detection entirely.
-    ``fixed_step`` disables adaptivity and the switch to ROS3 — used by the
-    order-measurement tests.  Otherwise the first step is guessed from the
-    initial speed and steps are never clamped from above.
+    ``fixed_step`` (positive and finite) disables adaptivity and the switch
+    to ROS3 — used by the order-measurement tests.  Otherwise the first
+    step is guessed from the initial speed and steps are never clamped from
+    above.
     ``stop_condition`` is checked on the initial point and after every
     accepted step and ends the run with status STOPPED.
     """
@@ -229,6 +223,8 @@ def integrate(
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     opts = opts or IntegratorOptions()
+    if opts.fixed_step is not None and not 0 < opts.fixed_step < math.inf:
+        raise ValueError(f"fixed_step must be positive and finite, got {opts.fixed_step}")
     b1, b2, a11, a12, a21, a22 = params.as_float_tuple()
     rel_tol, abs_tol = opts.rel_tol, opts.abs_tol
     conv_tol = opts.conv_tol
@@ -426,153 +422,6 @@ def integrate(
                 return finish(TerminalStatus.STEP_FAILURE, t, x1, x2)
 
     return finish(TerminalStatus.REACHED_HORIZON, t, x1, x2)
-
-
-# ---------------------------------------------------------------------------
-# Nullclines
-
-
-class Direction(Enum):
-    UP = "up"
-    DOWN = "down"
-    LEFT = "left"
-    RIGHT = "right"
-    #: The nullcline consists of equilibria (fully degenerate case).
-    STATIONARY = "stationary"
-
-
-class NullclineBranch(Enum):
-    VERTICAL_AXIS = "x1 = 0"
-    OBLIQUE_X1 = "x2 = (b1 - a11*x1)/a12"
-    HORIZONTAL_AXIS = "x2 = 0"
-    OBLIQUE_X2 = "x2 = (b2 - a21*x1)/a22"
-
-
-#: Which coordinate of the field vanishes on each branch: the flow crosses
-#: an x1-nullcline vertically and an x2-nullcline horizontally.
-_VERTICAL_FLOW = {NullclineBranch.VERTICAL_AXIS, NullclineBranch.OBLIQUE_X1}
-
-
-@dataclass(frozen=True)
-class NullclineSegment:
-    lo: Fraction
-    hi: Optional[Fraction]  # None = unbounded above
-    direction: Direction
-
-    def to_json_dict(self) -> dict:
-        return {"lo": str(self.lo), "hi": None if self.hi is None else str(self.hi),
-                "direction": self.direction.value}
-
-
-@dataclass(frozen=True)
-class NullclineCurve:
-    """One nullcline branch, parametrized by x2 on the vertical axis and by
-    x1 everywhere else, restricted to parameter values >= 0."""
-
-    params: SystemParams
-    branch: NullclineBranch
-    breakpoints: Tuple[Fraction, ...]
-    segments: Tuple[NullclineSegment, ...]
-
-    def point_at(self, value) -> Tuple[Fraction, Fraction]:
-        v = Fraction(value)
-        p = self.params
-        if self.branch is NullclineBranch.VERTICAL_AXIS:
-            return (Fraction(0), v)
-        if self.branch is NullclineBranch.HORIZONTAL_AXIS:
-            return (v, Fraction(0))
-        if self.branch is NullclineBranch.OBLIQUE_X1:
-            return (v, (p.b1 - p.a11 * v) / p.a12)
-        return (v, (p.b2 - p.a21 * v) / p.a22)
-
-    def direction_at(self, value) -> Direction:
-        v = Fraction(value)
-        for seg in self.segments:
-            if seg.lo < v and (seg.hi is None or v < seg.hi):
-                return seg.direction
-        raise ValueError(f"{v} is a breakpoint or outside the parametrized range")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "branch": self.branch.value,
-            "breakpoints": [str(b) for b in self.breakpoints],
-            "segments": [seg.to_json_dict() for seg in self.segments],
-        }
-
-
-@dataclass(frozen=True)
-class NullclineSet:
-    params: SystemParams
-    curves: Tuple[NullclineCurve, NullclineCurve, NullclineCurve, NullclineCurve]
-
-    def curve(self, branch: NullclineBranch) -> NullclineCurve:
-        for c in self.curves:
-            if c.branch is branch:
-                return c
-        raise KeyError(branch)
-
-    def to_json_dict(self) -> dict:
-        return {"params": self.params.to_json_dict(),
-                "curves": [c.to_json_dict() for c in self.curves]}
-
-
-def nullclines(params: SystemParams) -> NullclineSet:
-    """All four nullcline branches with exact breakpoints and crossing tags.
-
-    Each branch is given once, as linear factors m*v + c in its parameter v
-    whose product has, for v > 0, the sign of the field component that
-    crosses it.  The breakpoints are the factors' positive roots, and a
-    segment's tag is the product of the factors' exact signs just to the
-    right of its lower end, read from the signs of m and c and the order of
-    the roots alone: never from floating point, and never from a case table.
-    """
-    p = params
-    d = compute_determinants(params)
-    s12, _, s122 = d.signs
-    # The roots -c/m, computed only where they are positive.
-    b1_over_a11 = p.b1 / p.a11
-    crossing = -d.d122 / d.d12 if s12 * s122 < 0 else None
-    neg, pos = Sign.NEG, Sign.POS
-    # Each factor m*v + c as (sign of m, sign of c, positive root or None).
-    branches = (
-        # x1 = 0 (x2 parametrizes): x2' = x2*(b2 - a22*x2).
-        (NullclineBranch.VERTICAL_AXIS, [(neg, pos, p.b2 / p.a22)]),
-        # x2 = (b1 - a11*x1)/a12: substitution gives
-        # x2' = x2*(d12*x1 + d122)/a12 with x2 = (b1 - a11*x1)/a12.
-        (NullclineBranch.OBLIQUE_X1, [(neg, pos, b1_over_a11), (s12, s122, crossing)]),
-        # x2 = 0: x1' = x1*(b1 - a11*x1).
-        (NullclineBranch.HORIZONTAL_AXIS, [(neg, pos, b1_over_a11)]),
-        # x2 = (b2 - a21*x1)/a22: substitution gives
-        # x1' = -x1*(d12*x1 + d122)/a22.
-        (NullclineBranch.OBLIQUE_X2, [(-s12, -s122, crossing)]),
-    )
-    curves = []
-    for branch, factors in branches:
-        points = [Fraction(0)]
-        for root in sorted(r for _, _, r in factors if r is not None):
-            if root != points[-1]:
-                points.append(root)
-        # Just right of the point with index i, m*v + c has the sign of c
-        # when m = 0, the sign of m when it has no positive root, and, when
-        # its root has index k, the sign of m if k <= i and of -m if not.
-        rules = [(sm or sc, 0 if root is None else points.index(root))
-                 for sm, sc, root in factors]
-        vertical = branch in _VERTICAL_FLOW
-        segments = []
-        for i, (lo, hi) in enumerate(zip(points, [*points[1:], None])):
-            s = 1
-            for sign, k in rules:
-                s *= sign if k <= i else -sign
-            if s == 0:
-                direction = Direction.STATIONARY
-            elif vertical:
-                direction = Direction.UP if s > 0 else Direction.DOWN
-            else:
-                direction = Direction.RIGHT if s > 0 else Direction.LEFT
-            segments.append(NullclineSegment(lo=lo, hi=hi, direction=direction))
-        curves.append(NullclineCurve(params=params, branch=branch,
-                                     breakpoints=tuple(points), segments=tuple(segments)))
-    return NullclineSet(params=params, curves=tuple(curves))
 
 
 # ---------------------------------------------------------------------------
@@ -1000,10 +849,15 @@ def empirical_stability(
 
     results = [run_probe(*entry) for entry in starts]
     outcomes = [r.outcome for r in results]
+    note = None
     if not results:
         verdict = EmpiricalVerdictKind.INCONCLUSIVE
+        note = f"no ring start lies in the {protocol.scope.value.replace('_', ' ')}"
     elif ProbeOutcome.UNDECIDED in outcomes:
         verdict = EmpiricalVerdictKind.INCONCLUSIVE
+        statuses = [r.status.value for r in results if r.outcome is ProbeOutcome.UNDECIDED]
+        note = f"{len(statuses)} of {len(results)} probes undecided: " + ", ".join(
+            f"{statuses.count(s)} {s}" for s in dict.fromkeys(statuses))
     elif all(o is ProbeOutcome.CONVERGED_TO_TARGET for o in outcomes):
         verdict = EmpiricalVerdictKind.ATTRACTING
     elif ProbeOutcome.ESCAPED in outcomes:
@@ -1015,7 +869,7 @@ def empirical_stability(
         verdict = EmpiricalVerdictKind.MIXED
 
     return EmpiricalVerdict(target=eq, scope=protocol.scope, verdict=verdict,
-                            probes=results, radius=radius, horizon=horizon)
+                            probes=results, radius=radius, horizon=horizon, note=note)
 
 
 def empirical_matches(

@@ -4,7 +4,9 @@ There are at most four isolated equilibria: the origin, one on each positive
 half-axis, and (when the interaction determinant ``d12`` is nonzero) the
 intersection of the two oblique nullclines at ``(-d122/d12, d112/d12)``.
 When all three determinants vanish the oblique nullclines coincide and the
-system carries a whole segment of equilibria instead.
+system carries a whole segment of equilibria instead.  The four nullcline
+branches are split at exact breakpoints into segments tagged with the
+direction in which the flow crosses them.
 
 Everything here is computed in rational arithmetic; eigenvalues that are not
 rational are returned as exact quadratic surds so stability decisions never
@@ -35,6 +37,12 @@ __all__ = [
     "jacobian_at",
     "interior_point",
     "find_equilibria",
+    "Direction",
+    "NullclineBranch",
+    "NullclineSegment",
+    "NullclineCurve",
+    "NullclineSet",
+    "nullclines",
 ]
 
 RationalPair = Tuple[Fraction, Fraction]
@@ -269,3 +277,138 @@ def _all_equilibria(
     # x1 = -d122/d12 > 0 and x2 = d112/d12 > 0.
     inside = s122 != s12 and s112 == s12
     return (origin, axis1, axis2, interior), 4 if inside else 3
+
+
+# ---------------------------------------------------------------------------
+# Nullclines
+
+
+class Direction(Enum):
+    UP = "up"
+    DOWN = "down"
+    LEFT = "left"
+    RIGHT = "right"
+    #: The nullcline consists of equilibria (fully degenerate case).
+    STATIONARY = "stationary"
+
+
+class NullclineBranch(Enum):
+    VERTICAL_AXIS = "x1 = 0"
+    OBLIQUE_X1 = "x2 = (b1 - a11*x1)/a12"
+    HORIZONTAL_AXIS = "x2 = 0"
+    OBLIQUE_X2 = "x2 = (b2 - a21*x1)/a22"
+
+
+#: Which coordinate of the field vanishes on each branch: the flow crosses
+#: an x1-nullcline vertically and an x2-nullcline horizontally.
+_VERTICAL_FLOW = {NullclineBranch.VERTICAL_AXIS, NullclineBranch.OBLIQUE_X1}
+
+
+@dataclass(frozen=True)
+class NullclineSegment:
+    lo: Fraction
+    hi: Optional[Fraction]  # None = unbounded above
+    direction: Direction
+
+    def to_json_dict(self) -> dict:
+        return {"lo": str(self.lo), "hi": None if self.hi is None else str(self.hi),
+                "direction": self.direction.value}
+
+
+@dataclass(frozen=True)
+class NullclineCurve:
+    """One nullcline branch, parametrized by x2 on the vertical axis and by
+    x1 everywhere else, restricted to parameter values >= 0."""
+
+    params: SystemParams
+    branch: NullclineBranch
+    segments: Tuple[NullclineSegment, ...]
+
+    @property
+    def breakpoints(self) -> Tuple[Fraction, ...]:
+        return tuple(seg.lo for seg in self.segments)
+
+    def point_at(self, value) -> RationalPair:
+        v = Fraction(value)
+        p = self.params
+        if self.branch is NullclineBranch.VERTICAL_AXIS:
+            return (Fraction(0), v)
+        if self.branch is NullclineBranch.HORIZONTAL_AXIS:
+            return (v, Fraction(0))
+        if self.branch is NullclineBranch.OBLIQUE_X1:
+            return (v, (p.b1 - p.a11 * v) / p.a12)
+        return (v, (p.b2 - p.a21 * v) / p.a22)
+
+    def direction_at(self, value) -> Direction:
+        v = Fraction(value)
+        for seg in self.segments:
+            if seg.lo < v and (seg.hi is None or v < seg.hi):
+                return seg.direction
+        raise ValueError(f"{v} is a breakpoint or outside the parametrized range")
+
+    def to_json_dict(self) -> dict:
+        return {
+            "branch": self.branch.value,
+            "breakpoints": [str(b) for b in self.breakpoints],
+            "segments": [seg.to_json_dict() for seg in self.segments],
+        }
+
+
+@dataclass(frozen=True)
+class NullclineSet:
+    params: SystemParams
+    curves: Tuple[NullclineCurve, NullclineCurve, NullclineCurve, NullclineCurve]
+
+    def curve(self, branch: NullclineBranch) -> NullclineCurve:
+        for c in self.curves:
+            if c.branch is branch:
+                return c
+        raise KeyError(branch)
+
+    def to_json_dict(self) -> dict:
+        return {"params": self.params.to_json_dict(),
+                "curves": [c.to_json_dict() for c in self.curves]}
+
+
+def nullclines(params: SystemParams) -> NullclineSet:
+    """All four nullcline branches with exact breakpoints and crossing tags.
+
+    Along each branch, parametrized by v >= 0, the field component that
+    crosses it has one sign just right of v = 0, which flips at each of its
+    positive roots.  On both axes that sign starts at +1 and flips at b2/a22
+    (vertical) or b1/a11 (horizontal).  On the oblique x1-nullcline,
+    x2' = x2*(d12*v + d122)/a12 with x2 = (b1 - a11*v)/a12, so it starts at
+    s0 = sign d122, or sign d12 when d122 = 0, and flips at b1/a11 and at
+    c = -d122/d12 when c > 0.  On the oblique x2-nullcline,
+    x1' = -v*(d12*v + d122)/a22 starts at -s0 and flips at c.  A root met
+    twice (b1/a11 = c exactly when d112 = 0) is one breakpoint with two
+    flips; a starting sign of 0 (d12 = d122 = 0) makes the branch STATIONARY.
+    """
+    p = params
+    d = compute_determinants(params)
+    s12, _, s122 = d.signs
+    b1_over_a11 = p.b1 / p.a11
+    crossing = [-d.d122 / d.d12] if s12 * s122 < 0 else []
+    s0 = s122 or s12
+    curves = []
+    for branch, sign, roots in (
+        (NullclineBranch.VERTICAL_AXIS, 1, [p.b2 / p.a22]),
+        (NullclineBranch.OBLIQUE_X1, s0, [b1_over_a11, *crossing]),
+        (NullclineBranch.HORIZONTAL_AXIS, 1, [b1_over_a11]),
+        (NullclineBranch.OBLIQUE_X2, -s0, crossing),
+    ):
+        if branch in _VERTICAL_FLOW:
+            tags = (Direction.STATIONARY, Direction.UP, Direction.DOWN)
+        else:
+            tags = (Direction.STATIONARY, Direction.RIGHT, Direction.LEFT)
+        # Indexed by the sign: tags[-1] is the last entry.
+        segments = []
+        lo = Fraction(0)
+        for root in sorted(roots):
+            if root != lo:
+                segments.append(NullclineSegment(lo=lo, hi=root, direction=tags[sign]))
+                lo = root
+            sign = -sign
+        segments.append(NullclineSegment(lo=lo, hi=None, direction=tags[sign]))
+        curves.append(NullclineCurve(params=params, branch=branch, segments=tuple(segments)))
+    return NullclineSet(params=params, curves=tuple(curves))

@@ -183,6 +183,14 @@ def test_verify_says_why_a_probe_is_inconclusive(capsys):
     assert "equilibria too close" in out
 
 
+def test_verify_says_why_no_probe_ran(capsys):
+    """One probe per ring leaves case1's origin and axis-2 point with no
+    start inside the quadrant; the FAIL lines say so."""
+    code, out, _ = run(capsys, "verify", "--gallery", "case1", "--probes", "1")
+    assert code == 3
+    assert out.count("probes = inconclusive (no ring start lies in the first quadrant)") == 2
+
+
 def test_verify_unknown_gallery_label(capsys):
     code, _, err = run(capsys, "verify", "--gallery", "case42")
     assert code == 2

@@ -37,14 +37,12 @@ from lvcompete import (
 from lvcompete.classifier import Scope
 from lvcompete.dynamics import (
     EmpiricalVerdictKind,
-    NullclineBranch,
     ProbeOutcome,
     TerminalStatus,
-    _VERTICAL_FLOW,
     _probe_radius,
     _wedge_starts,
 )
-from lvcompete.equilibria import Equilibrium, EquilibriumLine
+from lvcompete.equilibria import _VERTICAL_FLOW, Equilibrium, EquilibriumLine, NullclineBranch
 from lvcompete.exact import Sign
 
 
@@ -144,6 +142,14 @@ def test_absurd_step_floor_fails_fast(gallery_params):
 def test_nonpositive_horizon_rejected(gallery_params, horizon):
     with pytest.raises(ValueError, match="horizon must be positive"):
         integrate(gallery_params["case1"], (1.0, 1.0), horizon)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.02, math.nan, math.inf])
+def test_nonpositive_or_infinite_fixed_step_rejected(gallery_params, step):
+    """A step that is not positive and finite never advances toward the
+    horizon, so the run would append samples without end."""
+    with pytest.raises(ValueError, match="fixed_step must be positive"):
+        integrate(gallery_params["case1"], (1.0, 1.0), 2.0, IntegratorOptions(fixed_step=step))
 
 
 def test_stop_condition_checked_before_stepping(gallery_params):
@@ -771,6 +777,29 @@ def test_undecided_probes_yield_inconclusive_never_a_match(gallery_params):
     assert {r.outcome for r in emp.probes} == {ProbeOutcome.UNDECIDED}
     for kind in (EquilibriumKind.INTERIOR, EquilibriumKind.ORIGIN):
         assert not empirical_matches(report.verdict_at(kind), emp)
+
+
+def test_no_ring_start_in_scope_says_so(gallery_params):
+    """A one-probe ring around case1's origin starts at (-r, 0), outside the
+    quadrant, so nothing is probed and the note says why."""
+    p = gallery_params["case1"]
+    emp = empirical_stability(p, find_equilibria(p)[0], ProbeProtocol(probe_count=1))
+    assert emp.verdict is EmpiricalVerdictKind.INCONCLUSIVE
+    assert emp.probes == []
+    assert emp.note == "no ring start lies in the first quadrant"
+
+
+def test_undecided_probes_are_counted_with_their_statuses():
+    """At b1 = 1e12 the step the controller asks for falls below the
+    minimum step (1e-14 of the horizon) at every ring start."""
+    p = SystemParams(b1=Fraction(10 ** 12), b2=Fraction(1), a11=Fraction(1),
+                     a12=Fraction(1), a21=Fraction(1), a22=Fraction(1))
+    for eq in find_equilibria(p):
+        emp = empirical_stability(p, eq)
+        n = len(emp.probes)
+        assert emp.verdict is EmpiricalVerdictKind.INCONCLUSIVE and n > 0
+        assert {r.status for r in emp.probes} == {TerminalStatus.STEP_FAILURE}
+        assert emp.note == f"{n} of {n} probes undecided: {n} step size underflow"
 
 
 def test_attracting_claim_contradicts_unstable_analytics(gallery_params):

@@ -9,8 +9,8 @@ depends on a frozen table, so both check the classifier, the equilibrium
 finder, the sign-condition predicates and the path scanner against the
 model itself.  The swap also checks the probes' wedge starts, whose axis-1
 points must mirror the axis-2 points of the swapped system, the two Lyapunov
-constructions, the probe verdicts on the gallery systems and the axis
-nullclines; the rescalings check the breakpoints and tags of all four
+constructions, the probe verdicts on the gallery systems and all four
+nullcline branches; the rescalings check the breakpoints and tags of all four
 nullcline branches.
 """
 
@@ -298,6 +298,34 @@ def test_swap_trades_the_axis_nullclines(p):
         curve, twin = ns.curve(branch), mirrored.curve(twin_branch)
         assert twin.breakpoints == curve.breakpoints
         assert segment_table(twin, TAG_SWAP.get) == segment_table(curve)
+
+
+@PROFILE
+@given(systems)
+def test_swap_trades_the_oblique_nullclines(p):
+    """sigma maps p's oblique x1-nullcline at v in (0, b1/a11) to the swapped
+    system's oblique x2-nullcline at w = (b1 - a11*v)/a12, and p's oblique
+    x2-nullcline at v in (0, b2/a21) to the oblique x1-nullcline at
+    w = (b2 - a21*v)/a22.  Off the breakpoints of both, the flow that
+    crosses one upward crosses the other rightward."""
+    ns, mirrored = nullclines(p), nullclines(swap(p))
+    for branch, twin_branch, end, image in (
+        (NullclineBranch.OBLIQUE_X1, NullclineBranch.OBLIQUE_X2, p.b1 / p.a11,
+         lambda v: (p.b1 - p.a11 * v) / p.a12),
+        (NullclineBranch.OBLIQUE_X2, NullclineBranch.OBLIQUE_X1, p.b2 / p.a21,
+         lambda v: (p.b2 - p.a21 * v) / p.a22),
+    ):
+        curve, twin = ns.curve(branch), mirrored.curve(twin_branch)
+        # A grid, plus the middle of every segment inside (0, end), so that
+        # short segments are sampled too.
+        values = {end * Fraction(k, 64) for k in range(1, 64)}
+        values |= {(s.lo + min(end, s.hi or end)) / 2 for s in curve.segments if s.lo < end}
+        for v in values:
+            w = image(v)
+            x1, x2 = curve.point_at(v)
+            assert twin.point_at(w) == (x2, x1)
+            if v not in curve.breakpoints and w not in twin.breakpoints:
+                assert twin.direction_at(w) is TAG_SWAP[curve.direction_at(v)]
 
 
 def probe_targets(p: SystemParams):

@@ -49,7 +49,6 @@ from .equilibria import (
     NullclineCurve,
     NullclineSet,
     find_equilibria,
-    interior_point,
     jacobian_at,
     nullclines,
 )
@@ -121,7 +120,7 @@ __all__ = [
     # equilibria and nullclines
     "Direction", "EigenPair", "Equilibrium", "EquilibriumKind", "EquilibriumLine",
     "NullclineBranch", "NullclineCurve", "NullclineSet", "find_equilibria",
-    "interior_point", "jacobian_at", "nullclines",
+    "jacobian_at", "nullclines",
     # classification
     "QUADRANT_REPRESENTATIVE", "Basis", "ClassificationReport", "ConsistencyVerdict",
     "InfeasibleSignCase", "Scope", "StabilityClass", "Verdict", "classify",

@@ -255,9 +255,6 @@ class BifurcationEvent:
     colliding_pair: Optional[Tuple[EquilibriumKind, EquilibriumKind]] = None
     collision_point: Optional[Tuple[Fraction, Fraction]] = None
     swap: Optional[SwapSummary] = None
-    #: Whether a11*x1 + a22*x2 > 0 at the collision point: there it equals
-    #: b1 (or b2), so it is True on every exchange and None elsewhere.
-    trace_condition_held: Optional[bool] = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -273,7 +270,6 @@ class BifurcationEvent:
             "collision_point": None if self.collision_point is None
             else [str(c) for c in self.collision_point],
             "swap": None if self.swap is None else self.swap.to_json_dict(),
-            "trace_condition_held": self.trace_condition_held,
         }
 
 
@@ -399,7 +395,7 @@ def scan_path(path: ParameterPath) -> PathScan:
         else:
             kind = EventKind.TRANSCRITICAL
 
-        colliding_pair = collision_point = swap = trace_held = None
+        colliding_pair = collision_point = swap = None
         if kind in (EventKind.TRANSCRITICAL, EventKind.TANGENTIAL_TOUCH) \
                 and vanishing != {WhichDeterminant.D12}:
             which = ordered[0]
@@ -413,9 +409,6 @@ def scan_path(path: ParameterPath) -> PathScan:
             else:
                 collision_point = (_lerp(start.b1, end.b1, s)
                                    / _lerp(start.a11, end.a11, s), Fraction(0))
-            # The trace condition a11*x1 + a22*x2 > 0 at the collision point
-            # reads b1 > 0 (or b2 > 0) there: it holds on every positive path.
-            trace_held = True
             axis_b, int_b = _classes_beside(which, before)
             axis_a, int_a = _classes_beside(which, after)
             swap = SwapSummary(axis_before=axis_b, interior_before=int_b,
@@ -431,7 +424,6 @@ def scan_path(path: ParameterPath) -> PathScan:
             colliding_pair=colliding_pair,
             collision_point=collision_point,
             swap=swap,
-            trace_condition_held=trace_held,
         ))
 
     return PathScan(path=path, polys=polys, identically_zero=identically_zero,

@@ -288,8 +288,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                      f"serial {ev.serial_before} -> {ev.serial_after}")
         if ev.collision_point is not None:
             lines.append(f"    collision at ({ev.collision_point[0]}, "
-                         f"{ev.collision_point[1]}); trace condition held: "
-                         f"{ev.trace_condition_held}")
+                         f"{ev.collision_point[1]})")
         if ev.swap is not None:
             lines.append(f"    classes (axis, interior): "
                          f"({ev.swap.axis_before}, {ev.swap.interior_before}) -> "

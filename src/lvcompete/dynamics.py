@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .exact import Sign, sign_of
 from .model import SystemParams, compute_determinants
@@ -76,6 +76,9 @@ class TerminalStatus(Enum):
 #: Trailing time span over which a converging run must also have stopped
 #: moving (see ``IntegratorOptions.conv_tol``).
 _CONV_WINDOW = 1.0
+#: A run ends with STEP_FAILURE when the controller needs a step below this
+#: fraction of the horizon.
+_MIN_STEP_FACTOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,6 @@ class IntegratorOptions:
     abs_tol: float = 1e-12
     conv_tol: float = 1e-9
     escape_bound: float = 1e6
-    min_step_factor: float = 1e-14
     fixed_step: Optional[float] = None
     stop_condition: Optional[Callable[[float, Point], bool]] = None
     #: Store every n-th accepted step (plus the first and last).  Long probe
@@ -199,7 +201,8 @@ def integrate(
     below one, with scale ``abs_tol + rel_tol*max(|x|, |x_next|)`` per
     component.  Runs end early on convergence, on leaving the escape ball,
     on a caller-supplied stop condition, or with STEP_FAILURE if the
-    controller would need a step below ``min_step_factor * horizon``.
+    controller would need a step below ``1e-14 * horizon``
+    (``_MIN_STEP_FACTOR``).
 
     The stepper is RKF45 (Fehlberg 4(5), fifth order propagated).  Every
     32 accepted adaptive steps (``_STIFF_CHECK_EVERY``) the run compares
@@ -259,7 +262,7 @@ def integrate(
     if conv_tol > 0 and max(abs(k11), abs(k12)) <= conv_tol:
         return finish(TerminalStatus.CONVERGED, t, x1, x2)
 
-    min_step = opts.min_step_factor * horizon
+    min_step = _MIN_STEP_FACTOR * horizon
     if fixed is not None:
         h = fixed
     else:
@@ -566,6 +569,9 @@ _SETTLE_VELOCITY = 1e-9
 _ESCAPE_FACTOR = 10.0
 #: Extra probes planted inside an escaping wedge.
 _WEDGE_PROBE_COUNT = 4
+#: Time limit of every probe run, raised to 5e7 for a target with a zero
+#: eigenvalue.
+_PROBE_HORIZON = 1e4
 #: Integrator settings of every probe run; :func:`empirical_stability` adds
 #: the stop condition, the convergence gate and the escape bound.
 _PROBE_INTEGRATOR = IntegratorOptions(rel_tol=1e-8, abs_tol=1e-11, conv_tol=0.0,
@@ -576,11 +582,15 @@ _PROBE_INTEGRATOR = IntegratorOptions(rel_tol=1e-8, abs_tol=1e-11, conv_tol=0.0,
 class ProbeProtocol:
     """How to surround an equilibrium with test trajectories.
 
-    ``probe_count`` probes start on a ring of radius
+    ``probe_count`` probes, at least one, start on a ring of radius
     ``1e-3 * max(1, |eq|)`` (``_PROBE_RADIUS_FACTOR``; shrunk if another
-    equilibrium is nearby) at equally spaced angles offset by half a slot
-    so that no probe starts exactly on an axis.  A probe converges if it
-    comes within ``settle_tol`` of the target before ``horizon``, escapes
+    equilibrium is nearby) at the angles 2*pi*(k + c)/n, with c = 1/2 when
+    4 divides n and c = 1/8 otherwise.  No angle is then a multiple of
+    pi/2, so no probe starts on an axis line through the target, where it
+    could slide into a saddle along the saddle's stable axis; the first
+    angle lies in (0, pi/2), so every target keeps a start in the
+    quadrant.  A probe converges if it comes within ``settle_tol`` of the
+    target before the horizon of 1e4 (``_PROBE_HORIZON``), escapes
     if it leaves the ball of 10 ring radii (``_ESCAPE_FACTOR``) and stays
     out, and settles elsewhere if it stops moving (speed at most 1e-9,
     ``_SETTLE_VELOCITY``) anywhere else.  For full-plane probing of a
@@ -592,9 +602,13 @@ class ProbeProtocol:
     """
 
     probe_count: int = 16
-    horizon: float = 1e4
     scope: ProbeScope = ProbeScope.FIRST_QUADRANT
     settle_tol: float = 1e-6
+
+    def __post_init__(self) -> None:
+        # With no probes the aggregate verdict would read ATTRACTING.
+        if self.probe_count < 1:
+            raise ValueError(f"probe_count must be at least 1, got {self.probe_count}")
 
 
 @dataclass(frozen=True)
@@ -741,19 +755,18 @@ def empirical_stability(
     if radius < 10.0 * protocol.settle_tol:
         return EmpiricalVerdict(
             target=eq, scope=protocol.scope, verdict=EmpiricalVerdictKind.INCONCLUSIVE,
-            probes=[], radius=radius, horizon=protocol.horizon,
+            probes=[], radius=radius, horizon=_PROBE_HORIZON,
             note="probe radius collides with settle tolerance; equilibria too close",
         )
     ball = _ESCAPE_FACTOR * radius
 
-    horizon = protocol.horizon
-    if Sign.ZERO in eq.eigenvalues.realpart_signs:
-        horizon = max(horizon, 5e7)
+    horizon = 5e7 if Sign.ZERO in eq.eigenvalues.realpart_signs else _PROBE_HORIZON
 
     starts: List[Tuple[str, Point, bool]] = []
     n = protocol.probe_count
+    offset = 0.5 if n % 4 == 0 else 0.125
     for k in range(n):
-        theta = 2.0 * math.pi * (k + 0.5) / n
+        theta = 2.0 * math.pi * (k + offset) / n
         sx = target[0] + radius * math.cos(theta)
         sy = target[1] + radius * math.sin(theta)
         if protocol.scope is ProbeScope.FIRST_QUADRANT and (sx < 0.0 or sy < 0.0):
@@ -850,10 +863,7 @@ def empirical_stability(
     results = [run_probe(*entry) for entry in starts]
     outcomes = [r.outcome for r in results]
     note = None
-    if not results:
-        verdict = EmpiricalVerdictKind.INCONCLUSIVE
-        note = f"no ring start lies in the {protocol.scope.value.replace('_', ' ')}"
-    elif ProbeOutcome.UNDECIDED in outcomes:
+    if ProbeOutcome.UNDECIDED in outcomes:
         verdict = EmpiricalVerdictKind.INCONCLUSIVE
         statuses = [r.status.value for r in results if r.outcome is ProbeOutcome.UNDECIDED]
         note = f"{len(statuses)} of {len(results)} probes undecided: " + ", ".join(
@@ -872,10 +882,7 @@ def empirical_stability(
                             probes=results, radius=radius, horizon=horizon, note=note)
 
 
-def empirical_matches(
-    analytic: Union[StabilityClass, Verdict],
-    empirical: EmpiricalVerdict,
-) -> bool:
+def empirical_matches(analytic: StabilityClass, empirical: EmpiricalVerdict) -> bool:
     """Does the probe verdict corroborate the analytic one?
 
     The correspondence: attracting <-> asymptotically stable; repelling (or
@@ -884,7 +891,7 @@ def empirical_matches(
     probes all escape); non-isolated expects quiet settling with no
     escapes.  INCONCLUSIVE never corroborates anything.
     """
-    verdict = analytic.verdict if isinstance(analytic, StabilityClass) else analytic
+    verdict = analytic.verdict
     kind = empirical.verdict
     if kind is EmpiricalVerdictKind.INCONCLUSIVE:
         return False

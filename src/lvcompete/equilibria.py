@@ -35,7 +35,6 @@ __all__ = [
     "Equilibrium",
     "EquilibriumLine",
     "jacobian_at",
-    "interior_point",
     "find_equilibria",
     "Direction",
     "NullclineBranch",
@@ -71,10 +70,6 @@ class EigenPair:
     @property
     def realpart_signs(self) -> Tuple[Sign, Sign]:
         return (exact_real_part_sign(self.lambda1), exact_real_part_sign(self.lambda2))
-
-    @property
-    def is_hyperbolic(self) -> bool:
-        return Sign.ZERO not in self.realpart_signs
 
     def to_json_dict(self) -> dict:
         return {"lambda1": exact_to_json(self.lambda1), "lambda2": exact_to_json(self.lambda2)}
@@ -179,18 +174,6 @@ def jacobian_at(params: SystemParams, point: Sequence) -> Tuple[RationalPair, Ra
         (p.b1 - 2 * p.a11 * x1 - p.a12 * x2, -p.a12 * x1),
         (-p.a21 * x2, p.b2 - p.a21 * x1 - 2 * p.a22 * x2),
     )
-
-
-def interior_point(params: SystemParams) -> Optional[RationalPair]:
-    """Intersection of the two oblique nullclines, or None when parallel.
-
-    The point is returned wherever it lies in the plane; callers decide
-    whether a non-positive coordinate disqualifies it.
-    """
-    d = compute_determinants(params)
-    if not d.signs[0]:
-        return None
-    return (-d.d122 / d.d12, d.d112 / d.d12)
 
 
 def _interior_eigenpair(params: SystemParams, d12: Fraction,

@@ -347,10 +347,7 @@ class NotRealizable(Exception):
 _SAMPLE_ATTEMPTS = 100_000
 
 
-def sample_params(
-    target: Union[SignCase, Tuple[Sign, Sign, Sign]],
-    rng_seed: int = 0,
-) -> SystemParams:
+def sample_params(target: Tuple[Sign, Sign, Sign], rng_seed: int = 0) -> SystemParams:
     """Rejection-sample positive rationals realising a target sign triple.
 
     Each parameter is drawn as n/d with n in 1..12 and d in 1..4.  Zero
@@ -360,10 +357,7 @@ def sample_params(
     (``_SAMPLE_ATTEMPTS``), which is the guaranteed outcome for the 14
     impossible triples.
     """
-    if isinstance(target, SignCase):
-        triple = target.triple
-    else:
-        triple = tuple(Sign(s) for s in target)  # type: ignore[assignment]
+    triple = tuple(Sign(s) for s in target)
     s12, s112, s122 = triple
     rng = random.Random(rng_seed)
 

@@ -136,12 +136,13 @@ class _Canvas:
 
 def _clip_oblique(canvas: _Canvas, slope: float, intercept: float
                   ) -> Optional[Tuple[Tuple[float, float], Tuple[float, float]]]:
-    """Clip y = slope*x + intercept to the viewing box."""
+    """Clip y = slope*x + intercept to the viewing box.
+
+    Both nullcline slopes, -a11/a12 and -a21/a22, are negative; one can
+    still round to -0.0 when the quotient underflows.
+    """
     lo, hi = canvas.x_min, canvas.x_max
-    if slope > 0:
-        lo = max(lo, (canvas.y_min - intercept) / slope)
-        hi = min(hi, (canvas.y_max - intercept) / slope)
-    elif slope < 0:
+    if slope < 0:
         lo = max(lo, (canvas.y_max - intercept) / slope)
         hi = min(hi, (canvas.y_min - intercept) / slope)
     else:

@@ -151,14 +151,14 @@ GOLDEN: Dict[str, str] = {
     "nullclines census++-": "5befd1621e78273823e3874e146983eb9d3b8147693cbd5e835e32a86ebd9248",
     "nullclines census++0": "7824fa7038729a68d1709ecaec464c51416b3e8697c4d51632ef77bbde67cc89",
     "nullclines census+++": "8f5753e418f51f12e91e124a26d167af36ba62df54995545e0b765178fe495ef",
-    "sweep coexistence-to-axis2-dominance": "d2532f06b245f67734fed74c8e60d17baf1690db2fd994934f918f1b6a55fedc",
-    "sweep coexistence-to-axis1-dominance": "7481e2646f150ff94aab0027332f55f8526f634dfd4dd14938d06dd32d67c67d",
-    "sweep bistability-to-axis2-dominance": "f1cbb1467f427f9889547948a983da6a9bce37bb3f9f0699a5d3e034e7568122",
-    "sweep bistability-to-axis1-dominance": "7edefff4304b78f8649444d1080ef818926d882ca5aaa7cb39804fa5044dc817",
-    "sweep irrational-concave": "734213c4ab31772a319687397297c2247084c7fb71f4cd84bee582499c423af7",
-    "sweep irrational-two-exchanges": "d08cc2bda3670d851227886a4a96583c157587127915533d43d82da06c607f40",
-    "sweep irrational-left-of-vertex": "b5576aba6135462df60b2e57daffd6ba5afcece9a92bfed117cf2e11aa26eddb",
-    "sweep irrational-right-of-vertex": "4cdd7cb0ac531b248e4ee9b0803585dc248182ec89d4e42deec3c44d4f7be2df",
+    "sweep coexistence-to-axis2-dominance": "54f7794ea7fc039ef63013a87b9038d5c2a07d7b8251bf67bb1d38ff8ac9cd9b",
+    "sweep coexistence-to-axis1-dominance": "5f92a9bd5e2958d9e07cbe335858bbb9ab8fbbf67c7dc91ddb926a0d745e2ba6",
+    "sweep bistability-to-axis2-dominance": "407e761d119f15f3359b8cf100eb694695178bb7fa568571af0f13b2fcf6710b",
+    "sweep bistability-to-axis1-dominance": "437a61d7f707e3aadb6c0512eaa92b75211581960ab3c809d502c62c11ded56f",
+    "sweep irrational-concave": "d818f1c15d34c4faa778226e15953f5b7a94d127ff5992684889e29bda0ec40d",
+    "sweep irrational-two-exchanges": "2c3a5cb51287bc845f630b7fec1e0141e47eac0cbd22ae261413be56b5534e00",
+    "sweep irrational-left-of-vertex": "cd7e23be3716aae7b045723184c97776e353f5e332fa23c9082b9da690eb84ff",
+    "sweep irrational-right-of-vertex": "6fdf46a0ccc2dc2f9eb82af7c571df647b7a81b742d46cdbf4c8dc1f013ce57d",
 }
 
 INVOCATIONS = invocations()

@@ -131,9 +131,11 @@ def test_off_quadrant_blowup_leaves_the_domain(gallery_params):
     assert max(abs(c) for c in traj.final_point) > 100.0
 
 
-def test_absurd_step_floor_fails_fast(gallery_params):
-    traj = integrate(gallery_params["case1"], (1.0, 1.0), 10.0,
-                     IntegratorOptions(min_step_factor=0.5, conv_tol=0.0))
+def test_absurd_step_floor_fails_fast():
+    """At b1 = 1e12 the stable RKF45 step, about 3.7e-12, lies below the
+    minimum step, 1e-14 of the 1e4 horizon."""
+    p = SystemParams.from_pairs((10 ** 12, 1), ((1, 1), (1, 1)))
+    traj = integrate(p, (1.0, 1.0), 1e4, IntegratorOptions(conv_tol=0.0))
     assert traj.terminal_status is TerminalStatus.STEP_FAILURE
     assert traj.n_accepted == 0
 
@@ -769,24 +771,44 @@ def test_radius_guard_refuses_to_probe_blind(gallery_params):
     assert "settle tolerance" in emp.note
 
 
-def test_undecided_probes_yield_inconclusive_never_a_match(gallery_params):
-    report = classify(gallery_params["case1"])
-    emp = empirical_stability(gallery_params["case1"], _interior(report),
-                              ProbeProtocol(probe_count=6, horizon=0.1))
+def test_undecided_probes_yield_inconclusive_never_a_match():
+    """Every probe of the b1 = 1e12 axis-1 sink ends undecided (as in
+    test_undecided_probes_are_counted_with_their_statuses); the INCONCLUSIVE
+    verdict matches neither the sink's nor the source's analytic verdict."""
+    p = SystemParams.from_pairs((10 ** 12, 1), ((1, 1), (1, 1)))
+    report = classify(p)
+    axis1 = next(e for e in report.equilibria if e.kind is EquilibriumKind.AXIS1)
+    emp = empirical_stability(p, axis1, ProbeProtocol(probe_count=6))
     assert emp.verdict is EmpiricalVerdictKind.INCONCLUSIVE
     assert {r.outcome for r in emp.probes} == {ProbeOutcome.UNDECIDED}
-    for kind in (EquilibriumKind.INTERIOR, EquilibriumKind.ORIGIN):
+    for kind in (EquilibriumKind.AXIS1, EquilibriumKind.ORIGIN):
         assert not empirical_matches(report.verdict_at(kind), emp)
 
 
-def test_no_ring_start_in_scope_says_so(gallery_params):
-    """A one-probe ring around case1's origin starts at (-r, 0), outside the
-    quadrant, so nothing is probed and the note says why."""
+def test_ring_starts_keep_clear_of_the_axis_lines(gallery_params):
+    """A start on an axis line through the target can slide into a saddle
+    along its stable axis, so no ring angle is a multiple of pi/2: every
+    start lies at least radius*sin(pi/4n) from both lines, and the first
+    lies above and to the right of the target."""
     p = gallery_params["case1"]
-    emp = empirical_stability(p, find_equilibria(p)[0], ProbeProtocol(probe_count=1))
-    assert emp.verdict is EmpiricalVerdictKind.INCONCLUSIVE
-    assert emp.probes == []
-    assert emp.note == "no ring start lies in the first quadrant"
+    target = _interior(classify(p))
+    tx, ty = target.float_position
+    for n in range(1, 33):
+        emp = empirical_stability(
+            p, target, ProbeProtocol(probe_count=n, scope=ProbeScope.FULL_PLANE))
+        assert len(emp.probes) == n
+        clearance = (1 - 1e-9) * emp.radius * math.sin(math.pi / (4 * n))
+        for probe in emp.probes:
+            sx, sy = probe.start
+            assert abs(sx - tx) >= clearance and abs(sy - ty) >= clearance, (n, probe.label)
+        sx, sy = emp.probes[0].start
+        assert sx > tx and sy > ty, n
+
+
+def test_a_ring_needs_a_probe():
+    """With no probes the aggregate verdict would read ATTRACTING."""
+    with pytest.raises(ValueError, match="probe_count must be at least 1"):
+        ProbeProtocol(probe_count=0)
 
 
 def test_undecided_probes_are_counted_with_their_statuses():

@@ -114,7 +114,7 @@ class TestCoexistenceExample:
         assert l1 == QuadraticSurd(Fraction(-4), Fraction(8), Fraction(2), branch=+1)
         assert l2 == QuadraticSurd(Fraction(-4), Fraction(8), Fraction(2), branch=-1)
         assert e.eigenvalues.realpart_signs == (Sign.NEG, Sign.NEG)
-        assert e.eigenvalues.is_hyperbolic
+        assert Sign.ZERO not in e.eigenvalues.realpart_signs
 
     def test_no_coincidences(self):
         assert all(
@@ -135,7 +135,7 @@ class TestDegenerateAxisContact:
         e2 = by_kind(self.p, K.AXIS2)
         assert e2.coincides_with is K.INTERIOR
         assert (e2.eigenvalues.lambda1, e2.eigenvalues.lambda2) == (0, -4)
-        assert not e2.eigenvalues.is_hyperbolic
+        assert Sign.ZERO in e2.eigenvalues.realpart_signs
 
     def test_off_quadrant_flag_does_not_resurrect_it(self):
         eqs = find_equilibria(self.p, include_off_quadrant=True)
@@ -153,10 +153,10 @@ class TestOffQuadrantCrossing:
         e = by_kind(self.p, K.INTERIOR, include_off_quadrant=True)
         assert e.position == (-2, 4)
 
-    def test_interior_point_helper(self):
-        assert lv.interior_point(self.p) == (-2, 4)
+    def test_parallel_nullclines_never_cross(self):
         parallel = SystemParams.from_pairs((1, 1), ((1, 2), (2, 4)))
-        assert lv.interior_point(parallel) is None
+        eqs = find_equilibria(parallel, include_off_quadrant=True)
+        assert all(e.kind is not K.INTERIOR for e in eqs if isinstance(e, Equilibrium))
 
 
 class TestKeptEquilibria:

@@ -7,6 +7,8 @@ against plain float evaluation on a wide sweep of rational inputs.
 from __future__ import annotations
 
 import ast
+import dataclasses
+import inspect
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -265,3 +267,37 @@ def test_exact_layer_calls_float_only_in_print_and_hand_off_helpers():
         for scope in _float_calls(ast.parse((package / name).read_text()))
     }
     assert found == FLOAT_HELPERS
+
+
+# ---------------------------------------------------------------------------
+# The settable surface only changes on purpose
+
+#: Every field of the option records, and every parameter of the entry points
+#: that take numerical or sampling settings.  A new knob or exported name
+#: shows up as an edit here.
+OPTION_FIELDS = {
+    "IntegratorOptions": ("rel_tol", "abs_tol", "conv_tol", "escape_bound",
+                          "fixed_step", "stop_condition", "sample_every"),
+    "ProbeProtocol": ("probe_count", "scope", "settle_tol"),
+    "PortraitSpec": ("scope",),
+}
+ENTRY_POINT_PARAMETERS = {
+    "integrate": ("params", "initial", "horizon", "opts"),
+    "empirical_stability": ("params", "eq", "protocol"),
+    "lyapunov_verify": ("params", "which", "sample_count", "seed"),
+    "sample_params": ("target", "rng_seed"),
+    "find_equilibria": ("params", "include_off_quadrant"),
+    "render_portrait": ("params", "spec"),
+}
+
+
+def test_settable_surface_is_pinned():
+    for name, expected in OPTION_FIELDS.items():
+        fields = dataclasses.fields(getattr(lvcompete, name))
+        assert tuple(f.name for f in fields) == expected, name
+    for name, expected in ENTRY_POINT_PARAMETERS.items():
+        signature = inspect.signature(getattr(lvcompete, name))
+        assert tuple(signature.parameters) == expected, name
+    exported = lvcompete.__all__
+    assert len(exported) == len(set(exported)) == 84
+    assert all(hasattr(lvcompete, name) for name in exported)

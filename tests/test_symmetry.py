@@ -11,7 +11,7 @@ model itself.  The swap also checks the probes' wedge starts, whose axis-1
 points must mirror the axis-2 points of the swapped system, the two Lyapunov
 constructions, the probe verdicts on the gallery systems and all four
 nullcline branches; the rescalings check the breakpoints and tags of all four
-nullcline branches.
+nullcline branches and every event of a path scan.
 """
 
 from __future__ import annotations
@@ -188,7 +188,6 @@ def assert_scans_mirror(path: ParameterPath) -> None:
         else:
             assert twin.collision_point == ev.collision_point[::-1]
         assert twin.swap == ev.swap
-        assert twin.trace_condition_held == ev.trace_condition_held
 
 
 @settings(max_examples=60)
@@ -393,3 +392,28 @@ def test_positive_rescaling_divides_the_nullcline_breakpoints(p, factor, rescale
         assert twin.breakpoints == tuple(b / c for b in curve.breakpoints)
         assert segment_table(twin) == [(lo / c, None if hi is None else hi / c, tag)
                                        for lo, hi, tag in segment_table(curve)]
+
+
+@PROFILE
+@given(paths, positive_factors, st.sampled_from([scale_interactions, scale_all]))
+def test_positive_rescaling_keeps_the_path_events(path, factor, rescale):
+    """Along the rescaled path each determinant gains a constant positive
+    factor, so every root and event stays; a collision point b_i/a_ii is
+    divided by c when the a_ij scale by c and kept when all six scale."""
+    c = factor if rescale is scale_interactions else 1
+    scan = scan_path(path)
+    scaled = scan_path(ParameterPath(start=rescale(path.start, factor),
+                                     end=rescale(path.end, factor)))
+    assert len(scaled.events) == len(scan.events)
+    for ev, twin in zip(scan.events, scaled.events):
+        assert (twin.root.value, twin.root.bracket) == (ev.root.value, ev.root.bracket)
+        assert (twin.root.multiplicity, twin.root.sign_change) == \
+            (ev.root.multiplicity, ev.root.sign_change)
+        assert twin.kind is ev.kind
+        assert set(twin.vanishing) == set(ev.vanishing)
+        assert (twin.serial_before, twin.serial_after) == (ev.serial_before, ev.serial_after)
+        assert twin.sign_case_at == ev.sign_case_at
+        assert twin.colliding_pair == ev.colliding_pair
+        assert twin.swap == ev.swap
+        assert twin.collision_point == (None if ev.collision_point is None
+                                        else tuple(x / c for x in ev.collision_point))

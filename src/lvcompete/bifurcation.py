@@ -3,10 +3,10 @@
 Move the six parameters affinely from one positive configuration to
 another and every one of the three classifying determinants becomes an
 exact quadratic polynomial in the path coordinate s.  Everything here is
-exact arithmetic: a root is either a fraction or the quadratic surd
-vertex +- sqrt(q) of its determinant, ordered and signed exactly, so no
-event can be missed, merged, reordered or invented by floating-point
-noise.  The JSON prints an irrational root as its cell of the 2**-64 grid
+decided on integers: each quadratic is scaled to integer coefficients, and
+its roots (P +- sqrt(D)) / M are located, ordered and signed by integer sign
+tests, so no event can be missed, merged, reordered or invented by
+floating-point noise.  The JSON prints an irrational root as its cell of the 2**-64 grid
 that bisection of its monotone piece would end in.
 
 A root of a minor determinant (with d12 != 0 there) is a transcritical
@@ -24,13 +24,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .exact import ExactNumber, QuadraticSurd, Sign, exact_compare, sign_of
+from .exact import (ExactNumber, QuadraticSurd, Sign, _compare_forms, _floor_of_form,
+                    _integer_form, _sign_of_sum, sign_of)
 from .model import SignCase, SystemParams, compute_determinants, sign_case
 from .equilibria import EquilibriumKind
 from .classifier import linearization_verdict
@@ -85,6 +87,9 @@ def _lerp(u: Fraction, v: Fraction, s: Fraction) -> Fraction:
     return u + (v - u) * s
 
 
+_PARAMS = operator.attrgetter("b1", "b2", "a11", "a12", "a21", "a22")
+
+
 @dataclass(frozen=True)
 class QuadraticPoly:
     """c0 + c1*s + c2*s**2 with exact rational coefficients."""
@@ -101,16 +106,14 @@ class QuadraticPoly:
     def is_identically_zero(self) -> bool:
         return self.c0 == 0 and self.c1 == 0 and self.c2 == 0
 
+    @cached_property
+    def _integers(self) -> Tuple[int, ...]:
+        """The coefficients times their common denominator: same roots and signs."""
+        lcm = math.lcm(self.c0.denominator, self.c1.denominator, self.c2.denominator)
+        return tuple(c.numerator * lcm // c.denominator for c in (self.c0, self.c1, self.c2))
+
     def to_json_dict(self) -> dict:
         return {"c0": str(self.c0), "c1": str(self.c1), "c2": str(self.c2)}
-
-
-def _root_surd(poly: QuadraticPoly, branch: int) -> QuadraticSurd:
-    """The root vertex + branch*sqrt(q) of c0 + c1*s + c2*s**2 with c2 != 0:
-    vertex = -c1/(2*c2) and q = vertex**2 - c0/c2."""
-    vertex = -poly.c1 / (2 * poly.c2)
-    return QuadraticSurd(p=vertex, q=vertex * vertex - poly.c0 / poly.c2, r=Fraction(1),
-                         branch=branch)
 
 
 @dataclass(frozen=True)
@@ -118,7 +121,8 @@ class PathRoot:
     """A root of one determinant polynomial inside the open interval (0, 1).
 
     ``value`` is the root exactly: a fraction, or the irrational surd
-    vertex +- sqrt(q) of ``poly``.  The print forms are derived from it:
+    vertex +- sqrt(q) of ``poly``, ordered and signed through its integer
+    form ``_form``.  The print forms are derived from it:
     ``exact`` for a rational root, and for an irrational one the
     ``bracket``, a grid cell of width <= ``DEFAULT_BRACKET_WIDTH``, derived
     on its first read and kept.
@@ -134,8 +138,12 @@ class PathRoot:
         return None if isinstance(self.value, QuadraticSurd) else self.value
 
     @cached_property
+    def _form(self) -> Tuple[int, int, int, int]:
+        return _integer_form(self.value)
+
+    @cached_property
     def bracket(self) -> Optional[Tuple[Fraction, Fraction]]:
-        return _bracket(self.value) if isinstance(self.value, QuadraticSurd) else None
+        return _bracket(self._form) if isinstance(self.value, QuadraticSurd) else None
 
     @property
     def representative(self) -> Fraction:
@@ -161,46 +169,46 @@ class PathRoot:
         }
 
 
-def _bracket(root: QuadraticSurd) -> Tuple[Fraction, Fraction]:
-    """The grid cell of an irrational root vertex +- sqrt(q) inside (0, 1).
+def _bracket(form: Tuple[int, int, int, int]) -> Tuple[Fraction, Fraction]:
+    """The grid cell of an irrational root (P + t*sqrt(D)) / M inside (0, 1).
 
-    The cell is the one that bisecting the root's monotone piece [lo, hi]
-    (between the cuts 0, vertex and 1) ends in: after the fewest halvings n
-    that leave w = (hi - lo) / 2**n <= ``DEFAULT_BRACKET_WIDTH``, it is
-    [lo + k*w, lo + (k+1)*w] with k = floor((root - lo) / w).
+    The cell is the one that bisecting the root's monotone piece
+    [lo, hi] = [L/M, H/M] (between the cuts 0, the vertex P/M and 1) ends in:
+    after the fewest halvings n that leave w = (hi - lo) / 2**n <=
+    ``DEFAULT_BRACKET_WIDTH``, it is [lo + k*w, lo + (k+1)*w] with
+    k = floor((root - lo) / w) = floor(((P - L)*2**n + t*sqrt(D*4**n)) / (H - L)).
     """
-    vertex = root.p
-    if root.branch < 0:
-        lo, hi = Fraction(0), min(vertex, Fraction(1))
-    else:
-        lo, hi = max(vertex, Fraction(0)), Fraction(1)
-    n = (math.ceil((hi - lo) / DEFAULT_BRACKET_WIDTH) - 1).bit_length()
-    w = (hi - lo) / 2 ** n
-    k = math.floor(replace(root, p=vertex - lo, r=w))  # (root - lo) / w
-    return (lo + k * w, lo + (k + 1) * w)
+    p, t, d, m = form
+    low, high = (0, min(p, m)) if t < 0 else (max(p, 0), m)
+    gap = high - low
+    width = DEFAULT_BRACKET_WIDTH
+    n = (-(-gap * width.denominator // (m * width.numerator)) - 1).bit_length()
+    k = _floor_of_form((p - low) << n, t, d << 2 * n, gap)
+    return (Fraction((low << n) + k * gap, m << n), Fraction((low << n) + (k + 1) * gap, m << n))
 
 
 def _roots_in_open_unit_interval(poly: QuadraticPoly) -> List[PathRoot]:
-    if poly.is_identically_zero:
+    """The roots in (0, 1), decided on the integer coefficients (A0, A1, A2):
+    -A0/A1 for a line, and otherwise (P +- sqrt(D)) / M with P = -A1*sgn(A2),
+    M = 2*|A2| and D = A1**2 - 4*A0*A2, which lies in (0, 1) iff
+    P +- sqrt(D) > 0 and P - M +- sqrt(D) < 0."""
+    a0, a1, a2 = poly._integers
+    if not a2:
+        p, m = (-a0, a1) if a1 > 0 else (a0, -a1)
+        return [PathRoot(poly=poly, value=Fraction(p, m), multiplicity=1,
+                         sign_change=True)] if 0 < p < m else []
+    p, m, disc = (-a1 if a2 > 0 else a1), 2 * abs(a2), a1 * a1 - 4 * a0 * a2
+    if disc == 0 and 0 < p < m:
+        return [PathRoot(poly=poly, value=Fraction(p, m), multiplicity=2, sign_change=False)]
+    if disc <= 0:
         return []
-    c0, c1, c2 = poly.c0, poly.c1, poly.c2
-    if c2 == 0:
-        if c1 != 0 and 0 < -c0 / c1 < 1:
-            return [PathRoot(poly=poly, value=-c0 / c1, multiplicity=1, sign_change=True)]
-        return []
-
-    left = _root_surd(poly, -1)
-    vertex, q = left.p, left.q
-    if q == 0 and 0 < vertex < 1:
-        return [PathRoot(poly=poly, value=vertex, multiplicity=2, sign_change=False)]
-    if q <= 0:
-        return []
+    root = math.isqrt(disc)
     roots: List[PathRoot] = []
-    for surd in (left, replace(left, branch=1)):
-        value = surd.as_rational()
-        if value is None:
-            value = surd
-        if exact_compare(value, 0) is Sign.POS and exact_compare(value, 1) is Sign.NEG:
+    for t in (-1, 1):
+        if _sign_of_sum(p, t, disc) is Sign.POS and _sign_of_sum(p - m, t, disc) is Sign.NEG:
+            value = (Fraction(p + t * root, m) if root * root == disc else
+                     QuadraticSurd(p=Fraction(p, m), q=Fraction(disc, m * m), r=Fraction(1),
+                                   branch=t))
             roots.append(PathRoot(poly=poly, value=value, multiplicity=1, sign_change=True))
     return roots
 
@@ -294,48 +302,57 @@ class PathScan:
 def determinant_polys(path: ParameterPath) -> Dict[WhichDeterminant, QuadraticPoly]:
     """The three determinants as exact quadratics in the path coordinate.
 
-    Each determinant is a product difference of parameters affine in s, so
-    it is a quadratic, fixed exactly by its values at s = 0, 1/2 and 1.
+    Each determinant x*y - u*v is a product difference of parameters affine
+    in s, so it is c0 + c1*s + c2*s**2 with c0 its value at the start, c2 the
+    same product difference of the end-minus-start steps and
+    c1 = (value at the end) - c0 - c2.  The steps and c2 stay unreduced
+    (numerator, denominator) pairs; each coefficient is reduced once.
     """
-    d0, dm, d1 = (compute_determinants(p)
-                  for p in (path.start, path.at(Fraction(1, 2)), path.end))
+    start, end = path.start, path.end
+    d0, d1 = compute_determinants(start), compute_determinants(end)
+    b1, b2, a11, a12, a21, a22 = (
+        (v.numerator * u.denominator - u.numerator * v.denominator, u.denominator * v.denominator)
+        for u, v in zip(_PARAMS(start), _PARAMS(end)))
 
-    def through(v0: Fraction, vm: Fraction, v1: Fraction) -> QuadraticPoly:
-        c2 = 2 * (v0 - 2 * vm + v1)
-        return QuadraticPoly(c0=v0, c1=v1 - v0 - c2, c2=c2)
+    def poly(v0: Fraction, v1: Fraction, x, y, u, v) -> QuadraticPoly:
+        (nx, qx), (ny, qy), (nu, qu), (nv, qv) = x, y, u, v
+        n2, q2 = nx * ny * qu * qv - nu * nv * qx * qy, qx * qy * qu * qv
+        n0, q0, n1, q1 = v0.numerator, v0.denominator, v1.numerator, v1.denominator
+        return QuadraticPoly(c0=v0, c1=Fraction((n1 * q0 - n0 * q1) * q2 - n2 * q0 * q1,
+                                                q0 * q1 * q2), c2=Fraction(n2, q2))
 
     return {
-        WhichDeterminant.D12: through(d0.d12, dm.d12, d1.d12),
-        WhichDeterminant.D112: through(d0.d112, dm.d112, d1.d112),
-        WhichDeterminant.D122: through(d0.d122, dm.d122, d1.d122),
+        WhichDeterminant.D12: poly(d0.d12, d1.d12, a11, a22, a12, a21),
+        WhichDeterminant.D112: poly(d0.d112, d1.d112, a11, b2, a21, b1),
+        WhichDeterminant.D122: poly(d0.d122, d1.d122, a12, b2, a22, b1),
     }
 
 
 def _sign_at_root(poly: QuadraticPoly, root: PathRoot) -> Sign:
     """Exact sign of another determinant polynomial at this root's location.
 
-    At s = u + t*sqrt(q), c0 + c1*s + c2*s**2 = A + B*sqrt(q) with
-    A = c0 + c1*u + c2*(u**2 + q) and B = t*(c1 + 2*c2*u).
+    With the root s = (P + t*sqrt(D)) / M and the polynomial's integer
+    coefficients (B0, B1, B2), M**2 times its value is X + t*Y*sqrt(D) with
+    X = B0*M**2 + B1*M*P + B2*(P**2 + D) and Y = B1*M + 2*B2*P.
     """
-    surd = root.value
-    if not isinstance(surd, QuadraticSurd):
-        return sign_of(poly(surd))
-    u, q = surd.p, surd.q
-    a = poly.c0 + poly.c1 * u + poly.c2 * (u * u + q)
-    b = surd.branch * (poly.c1 + 2 * poly.c2 * u)
-    return QuadraticSurd(p=a, q=b * b * q, r=Fraction(1), branch=1 if b >= 0 else -1).sign()
+    b0, b1, b2 = poly._integers
+    p, t, d, m = root._form
+    return _sign_of_sum(b0 * m * m + b1 * m * p + b2 * (p * p + d), t * (b1 * m + 2 * b2 * p), d)
 
 
 def _signs_beside(poly: QuadraticPoly, root: PathRoot) -> Tuple[Sign, Sign, Sign]:
     """Exact signs of a determinant just before, at and just after a root.
     One that vanishes there has -+ the sign of its slope c1 + 2*c2*s beside a
-    simple root and the sign of c2 beside a double one; any other keeps its sign."""
+    simple root and the sign of c2 beside a double one; any other keeps its
+    sign.  M times the slope is (B1*M + 2*B2*P) + t*2*B2*sqrt(D)."""
     at = _sign_at_root(poly, root)
-    if at is not Sign.ZERO or poly.is_identically_zero:
+    if at is not Sign.ZERO:
         return at, at, at
-    slope = _sign_at_root(QuadraticPoly(c0=poly.c1, c1=2 * poly.c2, c2=Fraction(0)), root)
+    _, b1, b2 = poly._integers
+    p, t, d, m = root._form
+    slope = _sign_of_sum(b1 * m + 2 * b2 * p, 2 * t * b2, d)
     if slope is Sign.ZERO:
-        return sign_of(poly.c2), at, sign_of(poly.c2)
+        return sign_of(b2), at, sign_of(b2)
     return Sign(-slope), at, slope
 
 
@@ -365,7 +382,7 @@ def scan_path(path: ParameterPath) -> PathScan:
     located = [(which, root)
                for which, poly in polys.items()
                for root in _roots_in_open_unit_interval(poly)]
-    located.sort(key=cmp_to_key(lambda x, y: exact_compare(x[1].value, y[1].value)))
+    located.sort(key=cmp_to_key(lambda x, y: _compare_forms(x[1]._form, y[1]._form)))
     events: List[BifurcationEvent] = []
     # An irrational root has one form vertex +- sqrt(q), so equal roots are ==.
     for _, run in itertools.groupby(located, key=lambda x: x[1].value):

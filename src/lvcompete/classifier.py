@@ -176,13 +176,22 @@ class ClassificationReport:
     def pattern(self, scope: Scope = Scope.FULL_NEIGHBORHOOD) -> Tuple[str, str, str, str, str]:
         """Coarse U/AS/SS/NI labels in the order (origin, axis1, axis2,
         interior, line), with "/" for equilibria absent from the portrait."""
-        labels = []
-        for kind in EquilibriumKind:
-            sc = self.verdict_at(kind, scope)
-            labels.append("/" if sc is None else sc.verdict.coarse_label)
-        return tuple(labels)  # type: ignore[return-value]
+        return _pattern(self.verdicts, scope)
 
     def to_json_dict(self) -> dict:
+        """The verdict part is the row of the report's sign triple, which is
+        what ``classify`` copies into ``verdicts``; its fragments are built
+        once per row and copied into new containers on every call."""
+        s12, s112, s122 = self.determinants.signs
+        key = 9 * s12 + 3 * s112 + s122
+        if key not in _ROW_JSON:
+            row = _VERDICT_ROWS[key]
+            _ROW_JSON[key] = (_pattern(row, Scope.FULL_NEIGHBORHOOD),
+                              _pattern(row, Scope.FIRST_QUADRANT_CLOSED),
+                              {kind.value: {scope.name.lower(): sc.to_json_dict()
+                                            for scope, sc in scoped.items()}
+                               for kind, scoped in row.items()})
+        full, quadrant, verdicts = _ROW_JSON[key]
         return {
             "params": self.params.to_json_dict(),
             "determinants": self.determinants.to_json_dict(),
@@ -190,16 +199,18 @@ class ClassificationReport:
             "portrait_class_full": self.portrait_class_full,
             "portrait_class_quadrant": self.portrait_class_quadrant,
             "gallery_reference": self.gallery_reference,
-            "pattern_full": list(self.pattern(Scope.FULL_NEIGHBORHOOD)),
-            "pattern_quadrant": list(self.pattern(Scope.FIRST_QUADRANT_CLOSED)),
-            "verdicts": {
-                kind.value: {
-                    scope.name.lower(): sc.to_json_dict() for scope, sc in scoped.items()
-                }
-                for kind, scoped in self.verdicts.items()
-            },
+            "pattern_full": list(full),
+            "pattern_quadrant": list(quadrant),
+            "verdicts": {kind: {scope: dict(sc) for scope, sc in scoped.items()}
+                         for kind, scoped in verdicts.items()},
             "equilibria": [entry.to_json_dict() for entry in self.equilibria],
         }
+
+
+def _pattern(verdicts: Dict[EquilibriumKind, ScopedVerdicts],
+             scope: Scope) -> Tuple[str, str, str, str, str]:
+    return tuple("/" if sc is None else sc.verdict.coarse_label  # type: ignore[return-value]
+                 for sc in (verdicts.get(kind, {}).get(scope) for kind in EquilibriumKind))
 
 
 def linearization_verdict(s1: Sign, s2: Sign) -> Optional[Verdict]:
@@ -265,6 +276,11 @@ def _verdict_row(signs: Tuple[Sign, Sign, Sign]) -> Dict[EquilibriumKind, Scoped
 _VERDICT_ROWS: Dict[int, Dict[EquilibriumKind, ScopedVerdicts]] = {
     9 * t[0] + 3 * t[1] + t[2]: _verdict_row(t) for t in feasible_sign_triples()
 }
+
+
+#: JSON fragments of each verdict row, keyed like ``_VERDICT_ROWS`` and built
+#: on first use: the full and quadrant patterns and the per-scope verdicts.
+_ROW_JSON: Dict[int, tuple] = {}
 
 
 def classify(params: SystemParams) -> ClassificationReport:

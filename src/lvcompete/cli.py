@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .exact import QuadraticSurd
-from .model import ParameterError, SystemParams, as_fraction
+from .model import ParameterError, SystemParams, as_fraction, compute_determinants, sign_case
 from .equilibria import Equilibrium, EquilibriumKind, find_equilibria, nullclines
 from .classifier import Scope, classify, cross_check_theorems
 from .dynamics import (
@@ -270,9 +270,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ParameterError(f"--steps must not be negative, got {args.steps}")
     start = _params_from_args(args)
     end = _system(args.end_b, args.end_a, "--end-b", "--end-a")
-    scan = scan_path(ParameterPath(start=start, end=end))
+    path = ParameterPath(start=start, end=end)
+    scan = scan_path(path)
+    samples = [Fraction(k, args.steps) for k in range(args.steps + 1)] if args.steps else []
+    profile = [(s, sign_case(compute_determinants(path.at(s))).table6_serial) for s in samples]
     if args.json:
-        _emit_json(args, scan.to_json_dict())
+        doc = scan.to_json_dict()
+        if profile:
+            doc["serial_profile"] = [{"s": str(s), "serial": serial} for s, serial in profile]
+        _emit_json(args, doc)
         return 0
     lines = [f"path: {start}  ->  {end}"]
     if scan.identically_zero:
@@ -294,12 +300,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                          f"({ev.swap.axis_before}, {ev.swap.interior_before}) -> "
                          f"({ev.swap.axis_after}, {ev.swap.interior_after}); "
                          f"swapped: {ev.swap.swapped}")
-    if args.steps:
+    if profile:
         lines.append("serial profile:")
-        for k in range(args.steps + 1):
-            s = Fraction(k, args.steps)
-            serial = classify(ParameterPath(start, end).at(s)).sign_case.table6_serial
-            lines.append(f"  s = {s}: serial {serial}")
+        lines.extend(f"  s = {s}: serial {serial}" for s, serial in profile)
     _emit(args, "\n".join(lines) + "\n")
     return 0
 

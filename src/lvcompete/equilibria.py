@@ -26,6 +26,8 @@ from .exact import (
     Sign,
     exact_real_part_sign,
     exact_to_json,
+    rational_sqrt,
+    sign_of,
 )
 from .model import SystemParams, compute_determinants
 
@@ -182,14 +184,11 @@ def _interior_eigenpair(params: SystemParams, d12: Fraction,
     t = params.a11 * x1 + params.a22 * x2        # = -trace of the Jacobian
     det = x1 * x2 * d12                          # = its determinant
     disc = t * t - 4 * det
-
-    def collapse(surd: QuadraticSurd) -> ExactNumber:
-        rational = surd.as_rational()
-        return surd if rational is None else rational
-
-    plus = QuadraticSurd(p=-t, q=disc, r=Fraction(2), branch=+1)
-    minus = QuadraticSurd(p=-t, q=disc, r=Fraction(2), branch=-1)
-    return EigenPair(collapse(plus), collapse(minus))
+    root = rational_sqrt(disc) if sign_of(disc) >= 0 else None
+    if root is None:
+        return EigenPair(QuadraticSurd(p=-t, q=disc, r=Fraction(2), branch=+1),
+                         QuadraticSurd(p=-t, q=disc, r=Fraction(2), branch=-1))
+    return EigenPair((root - t) / 2, (-t - root) / 2)
 
 
 def find_equilibria(

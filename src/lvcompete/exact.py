@@ -61,18 +61,22 @@ def rational_sqrt(value: Fraction) -> Optional[Fraction]:
     return None
 
 
+def _sign_of_sum(p: int, q: int, d: int) -> Sign:
+    """Exact sign of p + q*sqrt(d) for integers p, q and d >= 0: if the two
+    terms differ in sign, the sign of p**2 - q**2*d decides."""
+    p_sign = (p > 0) - (p < 0)
+    q_sign = ((q > 0) - (q < 0)) if d else 0
+    if p_sign * q_sign >= 0:
+        return _SIGN_BY_COMPARISON[p_sign or q_sign]
+    gap = p * p - q * q * d
+    return _SIGN_BY_COMPARISON[p_sign * ((gap > 0) - (gap < 0))]
+
+
 def _sign_of_p_plus_t_root_q(p: Fraction, t: int, q: Fraction) -> Sign:
-    """Exact sign of p + t*sqrt(q) for rational p, q >= 0 and t in {-1, +1}."""
-    p_sign = sign_of(p)
-    if not sign_of(q):
-        return p_sign
-    if t > 0:
-        if p_sign >= 0:
-            return Sign.POS
-        return sign_of(q - p * p)  # p < 0: compare |p| against sqrt(q)
-    if p_sign <= 0:
-        return Sign.NEG
-    return sign_of(p * p - q)
+    """Exact sign of p + t*sqrt(q) for rational p, q >= 0 and t in {-1, +1}:
+    with p = a/b and q = m/n it is the sign of a*n + t*b*sqrt(m*n)."""
+    return _sign_of_sum(p.numerator * q.denominator, t * p.denominator,
+                        q.numerator * q.denominator)
 
 
 @dataclass(frozen=True)
@@ -126,14 +130,8 @@ class QuadraticSurd:
         return (self.p + self.branch * root) / self.r
 
     def __floor__(self) -> int:
-        """Exact ``math.floor`` of a real surd: with p/r = a/c and q/r**2 = m/n it
-        is floor((a*n + floor(branch*sqrt(c*c*m*n))) / (c*n))."""
-        offset, _, spread = _offset_spread(self)
-        a, c, m, n = offset.numerator, offset.denominator, spread.numerator, spread.denominator
-        root = math.isqrt(c * c * m * n)
-        if self.branch < 0 and root * root != c * c * m * n:
-            root += 1  # floor(-sqrt(x)) = -ceil(sqrt(x))
-        return (a * n + self.branch * root) // (c * n)
+        """Exact ``math.floor`` of a real surd."""
+        return _floor_of_form(*_integer_form(self))
 
     def to_complex(self) -> complex:
         return (float(self.p) + self.branch * cmath.sqrt(float(self.q))) / float(self.r)
@@ -152,28 +150,51 @@ class QuadraticSurd:
         }
 
 
-def _offset_spread(value: "ExactNumber") -> Tuple[Fraction, int, Fraction]:
-    """(u, t, q) with the real value = u + t*sqrt(q), q >= 0 and t = +-1."""
+def _integer_form(value: "ExactNumber") -> Tuple[int, int, int, int]:
+    """(P, t, D, M) with the real value = (P + t*sqrt(D)) / M for integers
+    D >= 0 and M > 0 and t = +-1.  A surd (a/b + t*sqrt(m/n)) / (e/f) is
+    (a*n*f + t*sqrt((b*f)**2*m*n)) / (b*n*e)."""
     if not isinstance(value, QuadraticSurd):
-        return Fraction(value), 1, Fraction(0)
-    if not value.is_real:
+        return value.numerator, 1, 0, value.denominator
+    a, b = value.p.numerator, value.p.denominator
+    m, n = value.q.numerator, value.q.denominator
+    e, f = value.r.numerator, value.r.denominator
+    if m < 0:
         raise ValueError("a complex surd has no floor or order")
-    return value.p / value.r, value.branch, value.q / (value.r * value.r)
+    return a * n * f, value.branch, (b * f) ** 2 * m * n, b * n * e
+
+
+def _floor_of_form(p: int, t: int, d: int, m: int) -> int:
+    """floor((p + t*sqrt(d)) / m) for integers d >= 0 and m > 0: it is
+    floor((p + floor(t*sqrt(d))) / m), with floor(-sqrt(d)) = -ceil(sqrt(d))."""
+    root = math.isqrt(d)
+    if t < 0 and root * root != d:
+        root += 1
+    return (p + t * root) // m
+
+
+def _compare_forms(x: Tuple[int, int, int, int], y: Tuple[int, int, int, int]) -> Sign:
+    """Exact sign of x - y for two ``_integer_form`` tuples (P, t, D, M).
+
+    M1*M2*(x - y) = d + e with d = P1*M2 - P2*M1 and e = t1*sqrt(e1) -
+    t2*sqrt(e2), e1 = M2**2*D1, e2 = M1**2*D2.  The sign of e follows from e1
+    and e2; if d and e differ in sign, the sign of d**2 - e**2 =
+    d**2 - e1 - e2 + 2*t1*t2*M1*M2*sqrt(D1*D2) decides.
+    """
+    (p1, t1, d1, m1), (p2, t2, d2, m2) = x, y
+    d = p1 * m2 - p2 * m1
+    e1, e2 = m2 * m2 * d1, m1 * m1 * d2
+    e = e1 - e2 if t1 == t2 else e1 + e2
+    d_sign, e_sign = (d > 0) - (d < 0), t1 * ((e > 0) - (e < 0))
+    if d_sign * e_sign >= 0:
+        return _SIGN_BY_COMPARISON[d_sign or e_sign]
+    gap = _sign_of_sum(d * d - e1 - e2, 2 * t1 * t2 * m1 * m2, d1 * d2)
+    return _SIGN_BY_COMPARISON[d_sign * gap]
 
 
 def exact_compare(a: "ExactNumber", b: "ExactNumber") -> Sign:
-    """Exact sign of a - b for real rationals or surds, in two squarings at most.
-
-    a - b = d + e with d = u1 - u2 and e = t1*sqrt(q1) - t2*sqrt(q2).  The
-    sign of e follows from q1 and q2; if d and e differ in sign, the sign of
-    d**2 - e**2 = d**2 - q1 - q2 + 2*t1*t2*sqrt(q1*q2) decides.
-    """
-    (u1, t1, q1), (u2, t2, q2) = _offset_spread(a), _offset_spread(b)
-    d = u1 - u2
-    d_sign, e_sign = sign_of(d), Sign(t1 * sign_of(q1 - q2 if t1 == t2 else q1 + q2))
-    if d_sign * e_sign >= 0:
-        return d_sign or e_sign
-    return Sign(d_sign * _sign_of_p_plus_t_root_q(d * d - q1 - q2, t1 * t2, 4 * q1 * q2))
+    """Exact sign of a - b for real rationals or surds, in two squarings at most."""
+    return _compare_forms(_integer_form(a), _integer_form(b))
 
 
 #: An exact eigenvalue: either rational or a quadratic surd.

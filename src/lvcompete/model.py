@@ -292,14 +292,17 @@ def _contradiction_for(triple: Tuple[Sign, Sign, Sign]) -> ContradictionFamily:
 def sign_case(
     source: Union[DeterminantTriple, Tuple[Sign, Sign, Sign]],
 ) -> SignCase:
-    """Feasibility and portrait serial for a determinant sign triple."""
+    """Feasibility and portrait serial for a determinant sign triple; only
+    values that are not ``Sign`` members are checked with ``Sign(s)``."""
     if isinstance(source, DeterminantTriple):
         s12, s112, s122 = source.signs
     else:
-        triple = tuple(Sign(s) for s in source)
+        triple = tuple(source)
         if len(triple) != 3:
             raise ValueError("expected a triple of signs")
         s12, s112, s122 = triple
+        if not type(s12) is type(s112) is type(s122) is Sign:
+            s12, s112, s122 = (Sign(s) for s in triple)
     return _SIGN_CASES[9 * s12 + 3 * s112 + s122]
 
 

@@ -1,10 +1,11 @@
 """Path scanning: determinant quadratics, roots, and exchange events."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lvcompete import SystemParams, compute_determinants
 from lvcompete.bifurcation import (
@@ -14,13 +15,15 @@ from lvcompete.bifurcation import (
     PathRoot,
     QuadraticPoly,
     WhichDeterminant,
+    _roots_in_open_unit_interval,
     _sign_at_root,
+    _signs_beside,
     determinant_polys,
     four_case_catalog,
     scan_path,
 )
 from lvcompete.equilibria import EquilibriumKind
-from lvcompete.exact import QuadraticSurd, Sign, exact_compare
+from lvcompete.exact import QuadraticSurd, Sign, _compare_forms, exact_compare
 
 
 rationals = st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=6)
@@ -324,3 +327,129 @@ def test_scan_serializes_to_plain_json_types():
     assert "transcritical" in text
     assert doc["events"][0]["root"]["exact"] == "1/2"
     assert doc["events"][0]["collision_point"] == ["0", "5/2"]
+
+
+# ---------------------------------------------------------------------------
+# the integer root core against 300-digit decimals
+
+#: Decimal results closer than this are ties: the families below keep every
+#: distinct pair of roots, and every nonzero value at a root, far above it.
+TIE = Decimal(10) ** -250
+#: Beside a root means this far from it: distinct roots lie 10**-60 apart or more.
+BESIDE = Decimal(10) ** -100
+
+centres = st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2)]),
+                    st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(3, 2),
+                                 max_denominator=8))
+small = st.fractions(min_value=-3, max_value=3, max_denominator=8)
+tiny = st.builds(lambda j, e: Fraction(j, 10 ** e), st.integers(-9, 9),
+                 st.sampled_from([20, 30, 40, 60]))
+
+
+def product(k, *roots):
+    """k times the product of (s - r) over one or two roots."""
+    if len(roots) == 1:
+        return QuadraticPoly(-k * roots[0], k, Fraction(0))
+    r1, r2 = roots
+    return QuadraticPoly(k * r1 * r2, -k * (r1 + r2), k)
+
+
+@st.composite
+def quadratics(draw, centre):
+    """Linear, double-root, perfect-square, irrational and near-tie quadratics,
+    most with a root at or within 10**-20 of the shared centre."""
+    kind = draw(st.sampled_from(["any", "linear", "double", "rational", "irrational", "near"]))
+    k = draw(small.filter(bool))
+    if kind == "any":
+        return QuadraticPoly(draw(small), draw(small), draw(small))
+    if kind == "linear":
+        return product(k, centre + draw(tiny))
+    if kind == "double":
+        return product(k, centre, centre)
+    if kind == "rational":
+        return product(k, centre, draw(small))
+    # k*((s - c)**2 - q) about c at, within 10**-20 of, or near the centre:
+    # irrational roots for a non-square q > 0, and roots 10**-10 to 10**-30
+    # from c for a tiny q, so that two roots can differ in both parts.
+    c = centre + draw(st.one_of(st.just(Fraction(0)), tiny, small.map(lambda x: x / 8)))
+    q = draw(small) / 16 if kind == "irrational" else draw(tiny)
+    double = product(k, c, c)
+    return QuadraticPoly(double.c0 - k * q, double.c1, double.c2)
+
+
+def to_decimal(x) -> Decimal:
+    if isinstance(x, QuadraticSurd):
+        return (to_decimal(x.p) + x.branch * to_decimal(x.q).sqrt()) / to_decimal(x.r)
+    return Decimal(x.numerator) / Decimal(x.denominator)
+
+
+def decimal_sign(x: Decimal) -> Sign:
+    return Sign.ZERO if abs(x) < TIE else (Sign.POS if x > 0 else Sign.NEG)
+
+
+def evaluate(poly: QuadraticPoly, s: Decimal) -> Decimal:
+    return to_decimal(poly.c0) + s * (to_decimal(poly.c1) + s * to_decimal(poly.c2))
+
+
+def decimal_roots(poly: QuadraticPoly):
+    """The real roots of poly as (decimal value, multiplicity, is rational)."""
+    c0, c1, c2 = poly.c0, poly.c1, poly.c2
+    if c2 == 0:
+        return [] if c1 == 0 else [(to_decimal(-c0 / c1), 1, True)]
+    disc = c1 * c1 - 4 * c0 * c2
+    if disc < 0:
+        return []
+    if disc == 0:
+        return [(to_decimal(-c1) / to_decimal(2 * c2), 2, True)]
+    square = disc.numerator * disc.denominator
+    rational = math.isqrt(square) ** 2 == square
+    root = to_decimal(disc).sqrt()
+    return sorted(((to_decimal(-c1) + t * root) / to_decimal(2 * c2), 1, rational)
+                  for t in (-1, 1))
+
+
+def check_against_decimals(polys):
+    """Roots in (0, 1), their order and the signs of every determinant at and
+    beside them, decided on integers, agree with 300-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 300
+        located = []
+        for poly in polys:
+            roots = _roots_in_open_unit_interval(poly)
+            expected = [r for r in decimal_roots(poly) if TIE < r[0] < 1 - TIE]
+            assert len(roots) == len(expected)
+            for root, (value, multiplicity, rational) in zip(roots, expected):
+                assert abs(to_decimal(root.value) - value) < TIE
+                assert (root.multiplicity, root.sign_change) == (multiplicity, multiplicity == 1)
+                assert (root.exact is not None) == rational
+            located += [(root, to_decimal(root.value)) for root in roots]
+        for root, value in located:
+            for other, other_value in located:
+                assert _compare_forms(root._form, other._form) is decimal_sign(value - other_value)
+            for poly in polys:
+                signs = tuple(decimal_sign(evaluate(poly, value + h)) for h in (-BESIDE, 0, BESIDE))
+                assert _sign_at_root(poly, root) is signs[1]
+                assert _signs_beside(poly, root) == signs
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_integer_root_core_agrees_with_300_digit_decimals(data):
+    centre = data.draw(centres)
+    check_against_decimals(data.draw(st.lists(quadratics(centre), min_size=1, max_size=3)))
+
+
+EPS, DELTA = Fraction(2, 10 ** 40), Fraction(1, 10 ** 30)
+
+
+@pytest.mark.parametrize("polys", [
+    # 1/2 + sqrt(1/50) ~ 0.641 against 3/10 + sqrt(1/10) ~ 0.616: the rational
+    # parts and the surds disagree, and only the second squaring orders them.
+    [QuadraticPoly(Fraction(23, 100), Fraction(-1), Fraction(1)),
+     QuadraticPoly(Fraction(-1, 100), Fraction(-3, 5), Fraction(1))],
+    # 1/2 -+ sqrt(eps) and 1/2 + delta, all 0.5 as floats.
+    [QuadraticPoly(Fraction(1, 4) - EPS, Fraction(-1), Fraction(1)),
+     QuadraticPoly(-Fraction(1, 2) - DELTA, Fraction(1), Fraction(0))],
+], ids=["second-squaring", "float-ties"])
+def test_integer_root_core_on_fixed_near_ties(polys):
+    check_against_decimals(polys)

@@ -301,3 +301,25 @@ def test_reports_share_no_mutable_verdicts(gallery_params):
     report.verdicts[K.AXIS1].clear()
     assert report.verdict_at(K.AXIS2).verdict is Verdict.NON_ISOLATED
     assert report.verdict_at(K.LINE_MEMBER).verdict is Verdict.NON_ISOLATED
+
+
+def test_report_json_shares_no_container(gallery_params):
+    """Mutating a nested dict and a list of one report's JSON leaves a second
+    call on that report, and the report of another system with the same sign
+    triple, serialising to their original bytes."""
+    for label in ("case1", "case2", "case9"):
+        p = gallery_params[label]
+        twin = lv.sample_params(lv.compute_determinants(p).signs, rng_seed=3)
+        report, twin_report = classify(p), classify(twin)
+        before = json.dumps(report.to_json_dict(), sort_keys=True)
+        twin_before = json.dumps(twin_report.to_json_dict(), sort_keys=True)
+        doc = report.to_json_dict()
+        for scoped in doc["verdicts"].values():
+            for verdict in scoped.values():
+                verdict["verdict"] = "tampered"
+            scoped["extra"] = {}
+        doc["verdicts"]["origin"].clear()
+        doc["pattern_full"].append("tampered")
+        doc["pattern_quadrant"][0] = "tampered"
+        assert json.dumps(report.to_json_dict(), sort_keys=True) == before, label
+        assert json.dumps(twin_report.to_json_dict(), sort_keys=True) == twin_before, label

@@ -228,6 +228,19 @@ def test_sweep_serial_profile(capsys):
     assert "s = 1: serial 3" in out
 
 
+def test_sweep_json_carries_the_serial_profile(capsys):
+    argv = ["sweep", "--b", "2,1", "--a", "1,1,1,1", "--end-b", "1,2", "--end-a", "1,1,1,1"]
+    code, out, _ = run(capsys, *argv, "--steps", "4", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["serial_profile"] == [{"s": s, "serial": serial} for s, serial in (
+        ("0", 5), ("1/4", 5), ("1/2", 9), ("3/4", 3), ("1", 3))]
+    del doc["serial_profile"]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out) == doc  # without --steps, the same document and no profile
+
+
 def test_output_redirects_to_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "classify", "--json", "--out", str(target), *CASE1)

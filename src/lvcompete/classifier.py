@@ -14,13 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple, Union
+from operator import attrgetter
+from types import MappingProxyType
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .exact import Sign, sign_of
 from .model import (
     DeterminantTriple,
     SignCase,
     SystemParams,
+    _triple_key,
     compute_determinants,
     feasible_sign_triples,
     sign_case,
@@ -102,29 +105,16 @@ _AS_VERDICTS = frozenset({Verdict.STABLE_NODE, Verdict.ASYMPTOTICALLY_STABLE})
 #: Verdicts with a genuinely repelling direction.
 _UNSTABLE_VERDICTS = frozenset({Verdict.UNSTABLE_NODE, Verdict.SADDLE, Verdict.UNSTABLE})
 
-_COARSE_LABEL = {
-    Verdict.UNSTABLE_NODE: "U",
-    Verdict.SADDLE: "U",
-    Verdict.UNSTABLE: "U",
-    Verdict.STABLE_NODE: "AS",
-    Verdict.ASYMPTOTICALLY_STABLE: "AS",
-    Verdict.SEMI_STABLE: "SS",
-    Verdict.NON_ISOLATED: "NI",
-}
+_COARSE_LABEL = {**dict.fromkeys(_UNSTABLE_VERDICTS, "U"), **dict.fromkeys(_AS_VERDICTS, "AS"),
+                 Verdict.SEMI_STABLE: "SS", Verdict.NON_ISOLATED: "NI"}
 
 
 def is_asymptotically_stable(sc: Union[StabilityClass, Verdict, None]) -> bool:
-    if sc is None:
-        return False
-    verdict = sc if isinstance(sc, Verdict) else sc.verdict
-    return verdict in _AS_VERDICTS
+    return getattr(sc, "verdict", sc) in _AS_VERDICTS
 
 
 def is_unstable(sc: Union[StabilityClass, Verdict, None]) -> bool:
-    if sc is None:
-        return False
-    verdict = sc if isinstance(sc, Verdict) else sc.verdict
-    return verdict in _UNSTABLE_VERDICTS
+    return getattr(sc, "verdict", sc) in _UNSTABLE_VERDICTS
 
 
 class InfeasibleSignCase(RuntimeError):
@@ -142,27 +132,53 @@ QUADRANT_REPRESENTATIVE: Dict[int, int] = {
     1: 1, 2: 2, 3: 2, 4: 4, 5: 4, 6: 2, 7: 4, 8: 8, 9: 9,
 }
 
-ScopedVerdicts = Dict[Scope, StabilityClass]
+ScopedVerdicts = Mapping[Scope, StabilityClass]
+
+
+class _Row(NamedTuple):
+    """Everything that depends on a feasible sign triple alone, built once
+    at import and shared by every report of that triple: the paper's table
+    row.  The verdicts are read-only at both levels.  A named tuple is as
+    immutable as a frozen dataclass and a quarter of its import time."""
+
+    case: SignCase
+    portrait_class_full: int
+    portrait_class_quadrant: int
+    #: kind -> scope -> class; INTERIOR appears only when it lies strictly
+    #: inside the quadrant, LINE_MEMBER only in the degenerate case.
+    verdicts: Mapping[EquilibriumKind, ScopedVerdicts]
+    pattern_full: Tuple[str, ...]
+    pattern_quadrant: Tuple[str, ...]
+    #: The JSON "verdicts" object; ``to_json_dict`` copies it.
+    verdicts_json: Dict[str, Dict[str, dict]]
+
+    def __reduce__(self):
+        # A copy or an unpickled report points at this import's shared row.
+        return _row_of, (self.case.triple,)
 
 
 @dataclass(frozen=True)
 class ClassificationReport:
+    """One system's parameters and equilibria, and the row of its sign
+    triple, which holds everything else the report says."""
+
     params: SystemParams
-    determinants: DeterminantTriple
-    sign_case: SignCase
-    #: kind -> scope -> class; INTERIOR appears only when it lies strictly
-    #: inside the quadrant, LINE_MEMBER only in the degenerate case.
-    verdicts: Dict[EquilibriumKind, ScopedVerdicts]
     equilibria: List[Union[Equilibrium, EquilibriumLine]]
-    portrait_class_full: int
-    portrait_class_quadrant: int
+    _row: _Row
+
+    # Reads of the shared row.
+    sign_case = property(attrgetter("_row.case"))
+    verdicts = property(attrgetter("_row.verdicts"))
+    portrait_class_full = property(attrgetter("_row.portrait_class_full"))
+    portrait_class_quadrant = property(attrgetter("_row.portrait_class_quadrant"))
+
+    @property
+    def determinants(self) -> DeterminantTriple:
+        return compute_determinants(self.params)
 
     @property
     def line(self) -> Optional[EquilibriumLine]:
-        for entry in self.equilibria:
-            if isinstance(entry, EquilibriumLine):
-                return entry
-        return None
+        return next((e for e in self.equilibria if isinstance(e, EquilibriumLine)), None)
 
     @property
     def gallery_reference(self) -> str:
@@ -170,44 +186,34 @@ class ClassificationReport:
 
     def verdict_at(self, kind: EquilibriumKind,
                    scope: Scope = Scope.FIRST_QUADRANT_CLOSED) -> Optional[StabilityClass]:
-        scoped = self.verdicts.get(kind)
+        scoped = self._row.verdicts.get(kind)
         return None if scoped is None else scoped.get(scope)
 
     def pattern(self, scope: Scope = Scope.FULL_NEIGHBORHOOD) -> Tuple[str, str, str, str, str]:
         """Coarse U/AS/SS/NI labels in the order (origin, axis1, axis2,
         interior, line), with "/" for equilibria absent from the portrait."""
-        return _pattern(self.verdicts, scope)
+        return _pattern(self._row.verdicts, scope)
 
     def to_json_dict(self) -> dict:
-        """The verdict part is the row of the report's sign triple, which is
-        what ``classify`` copies into ``verdicts``; its fragments are built
-        once per row and copied into new containers on every call."""
-        s12, s112, s122 = self.determinants.signs
-        key = 9 * s12 + 3 * s112 + s122
-        if key not in _ROW_JSON:
-            row = _VERDICT_ROWS[key]
-            _ROW_JSON[key] = (_pattern(row, Scope.FULL_NEIGHBORHOOD),
-                              _pattern(row, Scope.FIRST_QUADRANT_CLOSED),
-                              {kind.value: {scope.name.lower(): sc.to_json_dict()
-                                            for scope, sc in scoped.items()}
-                               for kind, scoped in row.items()})
-        full, quadrant, verdicts = _ROW_JSON[key]
+        """The row's parts are built once per row and copied into new
+        containers on every call."""
+        row = self._row
         return {
             "params": self.params.to_json_dict(),
             "determinants": self.determinants.to_json_dict(),
-            "sign_case": self.sign_case.to_json_dict(),
-            "portrait_class_full": self.portrait_class_full,
-            "portrait_class_quadrant": self.portrait_class_quadrant,
+            "sign_case": row.case.to_json_dict(),
+            "portrait_class_full": row.portrait_class_full,
+            "portrait_class_quadrant": row.portrait_class_quadrant,
             "gallery_reference": self.gallery_reference,
-            "pattern_full": list(full),
-            "pattern_quadrant": list(quadrant),
+            "pattern_full": list(row.pattern_full),
+            "pattern_quadrant": list(row.pattern_quadrant),
             "verdicts": {kind: {scope: dict(sc) for scope, sc in scoped.items()}
-                         for kind, scoped in verdicts.items()},
+                         for kind, scoped in row.verdicts_json.items()},
             "equilibria": [entry.to_json_dict() for entry in self.equilibria],
         }
 
 
-def _pattern(verdicts: Dict[EquilibriumKind, ScopedVerdicts],
+def _pattern(verdicts: Mapping[EquilibriumKind, ScopedVerdicts],
              scope: Scope) -> Tuple[str, str, str, str, str]:
     return tuple("/" if sc is None else sc.verdict.coarse_label  # type: ignore[return-value]
                  for sc in (verdicts.get(kind, {}).get(scope) for kind in EquilibriumKind))
@@ -252,12 +258,12 @@ def _scoped_verdicts(s1: Sign, s2: Sign, s12: Sign) -> ScopedVerdicts:
     return {scope: StabilityClass(verdict, scope, basis) for scope in _REPORT_SCOPES}
 
 
-def _verdict_row(signs: Tuple[Sign, Sign, Sign]) -> Dict[EquilibriumKind, ScopedVerdicts]:
-    """The verdicts of every system with this feasible sign triple.  The
-    eigenvalue real parts have signs (+, +) at the origin, (-, s112) at axis 1,
-    (-s122, -) at axis 2 and (0, -) along a line of equilibria.  The interior
-    equilibrium is in the open quadrant iff s112 = s12 = -s122 != 0; there
-    det J = x1*x2*d12 and the trace is negative, so its signs are (-, -s12)."""
+def _build_row(signs: Tuple[Sign, Sign, Sign]) -> _Row:
+    """The row of a feasible sign triple.  The eigenvalue real parts have
+    signs (+, +) at the origin, (-, s112) at axis 1, (-s122, -) at axis 2
+    and (0, -) along a line of equilibria.  The interior equilibrium is in
+    the open quadrant iff s112 = s12 = -s122 != 0; there det J = x1*x2*d12
+    and the trace is negative, so its signs are (-, -s12)."""
     s12, s112, s122 = signs
     real_parts = {
         EquilibriumKind.ORIGIN: (Sign.POS, Sign.POS),
@@ -268,49 +274,47 @@ def _verdict_row(signs: Tuple[Sign, Sign, Sign]) -> Dict[EquilibriumKind, Scoped
         real_parts[EquilibriumKind.INTERIOR] = (Sign.NEG, Sign(-s12))
     if not (s12 or s112 or s122):
         real_parts[EquilibriumKind.LINE_MEMBER] = (Sign.ZERO, Sign.NEG)
-    return {kind: _scoped_verdicts(s1, s2, s12) for kind, (s1, s2) in real_parts.items()}
+    verdicts = {kind: _scoped_verdicts(s1, s2, s12) for kind, (s1, s2) in real_parts.items()}
+    case = sign_case(signs)
+    serial = case.table6_serial
+    assert serial is not None
+    return _Row(
+        case=case,
+        portrait_class_full=serial,
+        portrait_class_quadrant=QUADRANT_REPRESENTATIVE[serial],
+        verdicts=MappingProxyType({kind: MappingProxyType(scoped)
+                                   for kind, scoped in verdicts.items()}),
+        pattern_full=_pattern(verdicts, Scope.FULL_NEIGHBORHOOD),
+        pattern_quadrant=_pattern(verdicts, Scope.FIRST_QUADRANT_CLOSED),
+        verdicts_json={kind.value: {scope.name.lower(): sc.to_json_dict()
+                                    for scope, sc in scoped.items()}
+                       for kind, scoped in verdicts.items()},
+    )
 
 
-#: One verdict row per feasible sign triple, keyed 9*s12 + 3*s112 + s122 like
-#: ``model._SIGN_CASES``; :func:`classify` copies both dict levels.
-_VERDICT_ROWS: Dict[int, Dict[EquilibriumKind, ScopedVerdicts]] = {
-    9 * t[0] + 3 * t[1] + t[2]: _verdict_row(t) for t in feasible_sign_triples()
-}
+#: One row per feasible sign triple, keyed by ``model._triple_key``.
+_ROWS: Dict[int, _Row] = {_triple_key(t): _build_row(t) for t in feasible_sign_triples()}
 
 
-#: JSON fragments of each verdict row, keyed like ``_VERDICT_ROWS`` and built
-#: on first use: the full and quadrant patterns and the per-scope verdicts.
-_ROW_JSON: Dict[int, tuple] = {}
+def _row_of(signs: Tuple[Sign, Sign, Sign]) -> Optional[_Row]:
+    return _ROWS.get(_triple_key(signs))
 
 
 def classify(params: SystemParams) -> ClassificationReport:
     """Full stability report for one parameter set.
 
     The verdicts depend on the determinants' sign triple alone, as in the
-    paper's tables: ``classify`` copies the triple's row of ``_VERDICT_ROWS``
+    paper's tables: the report points at its triple's shared, read-only row
     and reads no eigenvalue.  The report's equilibria are the system's own.
     """
     dets = compute_determinants(params)
-    case = sign_case(dets)
-    if not case.feasible:
+    row = _row_of(dets.signs)
+    if row is None:
         raise InfeasibleSignCase(
-            f"sign triple ({case.glyphs}) is provably unrealizable; "
+            f"sign triple ({sign_case(dets).glyphs}) is provably unrealizable; "
             "exact arithmetic and the feasibility table disagree"
         )
-    s12, s112, s122 = dets.signs
-    row = _VERDICT_ROWS[9 * s12 + 3 * s112 + s122]
-
-    serial = case.table6_serial
-    assert serial is not None
-    return ClassificationReport(
-        params=params,
-        determinants=dets,
-        sign_case=case,
-        verdicts={kind: dict(scoped) for kind, scoped in row.items()},
-        equilibria=find_equilibria(params),
-        portrait_class_full=serial,
-        portrait_class_quadrant=QUADRANT_REPRESENTATIVE[serial],
-    )
+    return ClassificationReport(params=params, equilibria=find_equilibria(params), _row=row)
 
 
 # --------------------------------------------------------------------------
@@ -435,13 +439,9 @@ def cross_check_theorems(params: SystemParams) -> ConsistencyVerdict:
     check("axis2 attracting", thm_axis2_asymptotically_stable(triple), is_asymptotically_stable(e2))
     check("axis2 unstable", thm_axis2_unstable(triple), is_unstable(e2))
 
-    interior = [
-        e for e in report.equilibria
-        if isinstance(e, Equilibrium) and e.kind is EquilibriumKind.INTERIOR
-    ]
-    strictly_interior = [e for e in interior if sign_of(e.x1) > 0 and sign_of(e.x2) > 0]
-    line = report.line
-    has_open_quadrant_equilibrium = bool(strictly_interior) or line is not None
+    has_open_quadrant_equilibrium = report.line is not None or any(
+        isinstance(e, Equilibrium) and e.kind is EquilibriumKind.INTERIOR
+        and sign_of(e.x1) > 0 and sign_of(e.x2) > 0 for e in report.equilibria)
     check("no open-quadrant equilibrium", thm_no_open_quadrant_equilibrium(triple),
           not has_open_quadrant_equilibrium)
 
@@ -450,12 +450,11 @@ def cross_check_theorems(params: SystemParams) -> ConsistencyVerdict:
     if predicted_e12 is None:
         if actual_e12 is not None:
             problems.append("interior verdict present but no interior class predicted")
+    elif actual_e12 is None:
+        problems.append("interior class predicted but report has no interior verdict")
     else:
-        if actual_e12 is None:
-            problems.append("interior class predicted but report has no interior verdict")
-        else:
-            check("interior attracting", is_asymptotically_stable(predicted_e12),
-                  is_asymptotically_stable(actual_e12))
-            check("interior unstable", is_unstable(predicted_e12), is_unstable(actual_e12))
+        check("interior attracting", is_asymptotically_stable(predicted_e12),
+              is_asymptotically_stable(actual_e12))
+        check("interior unstable", is_unstable(predicted_e12), is_unstable(actual_e12))
 
     return ConsistencyVerdict(report=report, disagreements=problems)

@@ -72,13 +72,6 @@ def _sign_of_sum(p: int, q: int, d: int) -> Sign:
     return _SIGN_BY_COMPARISON[p_sign * ((gap > 0) - (gap < 0))]
 
 
-def _sign_of_p_plus_t_root_q(p: Fraction, t: int, q: Fraction) -> Sign:
-    """Exact sign of p + t*sqrt(q) for rational p, q >= 0 and t in {-1, +1}:
-    with p = a/b and q = m/n it is the sign of a*n + t*b*sqrt(m*n)."""
-    return _sign_of_sum(p.numerator * q.denominator, t * p.denominator,
-                        q.numerator * q.denominator)
-
-
 @dataclass(frozen=True)
 class QuadraticSurd:
     """Exact number of the form (p + branch*sqrt(q)) / r.
@@ -110,15 +103,13 @@ class QuadraticSurd:
         return sign_of(self.q) >= 0
 
     def real_part_sign(self) -> Sign:
-        """Exact sign of the real part (the value itself when it is real)."""
+        """Exact sign of the real part (the value itself when it is real); with
+        p = a/b and q = m/n >= 0 it is the sign of a*n + branch*b*sqrt(m*n)."""
+        p, q = self.p, self.q
         if not self.is_real:
-            return sign_of(self.p)  # r > 0 after normalisation
-        return _sign_of_p_plus_t_root_q(self.p, self.branch, self.q)
-
-    def sign(self) -> Sign:
-        if not self.is_real:
-            raise ValueError("sign() of a complex surd; use real_part_sign()")
-        return self.real_part_sign()
+            return sign_of(p)  # r > 0 after normalisation
+        return _sign_of_sum(p.numerator * q.denominator, self.branch * p.denominator,
+                            q.numerator * q.denominator)
 
     def as_rational(self) -> Optional[Fraction]:
         """Collapse to a plain rational when q is a perfect square."""
@@ -128,10 +119,6 @@ class QuadraticSurd:
         if root is None:
             return None
         return (self.p + self.branch * root) / self.r
-
-    def __floor__(self) -> int:
-        """Exact ``math.floor`` of a real surd."""
-        return _floor_of_form(*_integer_form(self))
 
     def to_complex(self) -> complex:
         return (float(self.p) + self.branch * cmath.sqrt(float(self.q))) / float(self.r)

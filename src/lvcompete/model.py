@@ -240,17 +240,23 @@ class SignCase:
     table6_serial: Optional[int] = None
     contradiction: Optional[ContradictionFamily] = None
 
-    @property
-    def glyphs(self) -> str:
-        return "".join(s.glyph for s in self.triple)
+    #: The JSON document, built once on construction; ``to_json_dict`` copies it.
+    _json: dict = field(init=False, repr=False, compare=False)
 
-    def to_json_dict(self) -> dict:
+    def __post_init__(self) -> None:
         out: dict = {"signs": [s.glyph for s in self.triple], "feasible": self.feasible}
         if self.table6_serial is not None:
             out["table6_serial"] = self.table6_serial
         if self.contradiction is not None:
             out["contradiction"] = self.contradiction.value
-        return out
+        object.__setattr__(self, "_json", out)
+
+    @property
+    def glyphs(self) -> str:
+        return "".join(s.glyph for s in self.triple)
+
+    def to_json_dict(self) -> dict:
+        return {**self._json, "signs": list(self._json["signs"])}
 
 
 _P, _Z, _N = Sign.POS, Sign.ZERO, Sign.NEG
@@ -295,15 +301,20 @@ def sign_case(
     """Feasibility and portrait serial for a determinant sign triple; only
     values that are not ``Sign`` members are checked with ``Sign(s)``."""
     if isinstance(source, DeterminantTriple):
-        s12, s112, s122 = source.signs
-    else:
-        triple = tuple(source)
-        if len(triple) != 3:
-            raise ValueError("expected a triple of signs")
-        s12, s112, s122 = triple
-        if not type(s12) is type(s112) is type(s122) is Sign:
-            s12, s112, s122 = (Sign(s) for s in triple)
-    return _SIGN_CASES[9 * s12 + 3 * s112 + s122]
+        return _SIGN_CASES[_triple_key(source.signs)]
+    triple = tuple(source)
+    if len(triple) != 3:
+        raise ValueError("expected a triple of signs")
+    if not type(triple[0]) is type(triple[1]) is type(triple[2]) is Sign:
+        triple = tuple(Sign(s) for s in triple)
+    return _SIGN_CASES[_triple_key(triple)]
+
+
+def _triple_key(signs: Tuple[Sign, Sign, Sign]) -> int:
+    """The key 9*s12 + 3*s112 + s122 of a sign triple in ``_SIGN_CASES`` and
+    ``classifier._ROWS``: an int hashes faster than three enum members."""
+    s12, s112, s122 = signs
+    return 9 * s12 + 3 * s112 + s122
 
 
 def _build_sign_case(triple: Tuple[Sign, Sign, Sign]) -> SignCase:
@@ -314,11 +325,10 @@ def _build_sign_case(triple: Tuple[Sign, Sign, Sign]) -> SignCase:
                     contradiction=_contradiction_for(triple))
 
 
-#: All 27 verdicts, built once; ``SignCase`` is frozen, so they are shared.
-#: The key 9*s12 + 3*s112 + s122 is an int: hashing it costs less than
-#: hashing three enum members.
+#: All 27 verdicts, built once and keyed by ``_triple_key``; ``SignCase`` is
+#: frozen, so they are shared.
 _SIGN_CASES: Dict[int, SignCase] = {
-    9 * t[0] + 3 * t[1] + t[2]: _build_sign_case(t)
+    _triple_key(t): _build_sign_case(t)
     for t in itertools.product((Sign.POS, Sign.ZERO, Sign.NEG), repeat=3)
 }
 

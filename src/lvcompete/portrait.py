@@ -63,7 +63,11 @@ class PortraitSpec:
 def _auto_viewport(params: SystemParams) -> Tuple[float, float]:
     x_ext = max(params.b1 / params.a11, params.b2 / params.a21)
     y_ext = max(params.b1 / params.a12, params.b2 / params.a22)
-    return (float(x_ext) * 1.1, float(y_ext) * 1.1)
+    x_max, y_max = float(x_ext) * 1.1, float(y_ext) * 1.1
+    if not (0.0 < x_max < math.inf and 0.0 < y_max < math.inf):
+        raise ValueError("the portrait's viewing window is outside the floating-point "
+                         f"range (x up to {x_max}, y up to {y_max})")
+    return x_max, y_max
 
 
 def _fmt(v: float) -> str:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -282,25 +284,38 @@ def test_verdict_rows_match_each_systems_eigenvalues(p):
 
 
 def test_reports_share_no_mutable_verdicts(gallery_params):
-    """Mutating one report's verdict dicts leaves the next report of the same
-    sign triple unchanged."""
+    """Two reports of one sign triple share one read-only row: an edit at
+    either level of the verdicts raises TypeError and changes no report's
+    JSON."""
     for label in ("case1", "case2", "case9"):
         p = gallery_params[label]
         twin = lv.sample_params(lv.compute_determinants(p).signs, rng_seed=3)
-        expected = classify(p).to_json_dict()["verdicts"]
-        report = classify(p)
-        report.verdicts[K.AXIS2][Scope.FULL_NEIGHBORHOOD] = StabilityClass(
-            Verdict.SADDLE, Scope.FULL_NEIGHBORHOOD, Basis.LINEARIZATION)
-        del report.verdicts[K.ORIGIN]
-        assert classify(p).to_json_dict()["verdicts"] == expected, label
-        assert classify(twin).to_json_dict()["verdicts"] == expected, label
-    # The three kinds of the line case hold three separate dicts.
-    report = classify(gallery_params["case9"])
-    line_kinds = (K.AXIS1, K.AXIS2, K.LINE_MEMBER)
-    assert len({id(report.verdicts[kind]) for kind in line_kinds}) == 3
-    report.verdicts[K.AXIS1].clear()
-    assert report.verdict_at(K.AXIS2).verdict is Verdict.NON_ISOLATED
-    assert report.verdict_at(K.LINE_MEMBER).verdict is Verdict.NON_ISOLATED
+        report, twin_report = classify(p), classify(twin)
+        assert report.verdicts is twin_report.verdicts, label
+        before = [json.dumps(r.to_json_dict(), sort_keys=True) for r in (report, twin_report)]
+        saddle = StabilityClass(Verdict.SADDLE, Scope.FULL_NEIGHBORHOOD, Basis.LINEARIZATION)
+        with pytest.raises(TypeError):
+            report.verdicts[K.AXIS2][Scope.FULL_NEIGHBORHOOD] = saddle
+        with pytest.raises(TypeError):
+            del report.verdicts[K.AXIS2][Scope.FULL_NEIGHBORHOOD]
+        with pytest.raises(TypeError):
+            report.verdicts[K.INTERIOR] = {}
+        with pytest.raises(TypeError):
+            del report.verdicts[K.ORIGIN]
+        after = [json.dumps(r.to_json_dict(), sort_keys=True) for r in (report, twin_report)]
+        assert after == before, label
+
+
+def test_reports_copy_and_pickle_to_the_same_json():
+    """A deep copy or an unpickled report serialises like the original and
+    points at the same shared row."""
+    for label in ("case1", "case2", "case9"):
+        # Parameters from this module's import of the package, not from the
+        # session fixture: pickle finds each class by its module's name.
+        report = classify(lv.gallery_entry(label).params)
+        for copied in (copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+            assert copied.to_json_dict() == report.to_json_dict(), label
+            assert copied.verdicts is report.verdicts, label
 
 
 def test_report_json_shares_no_container(gallery_params):

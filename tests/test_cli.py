@@ -264,6 +264,14 @@ def test_malformed_values_are_parameter_errors(capsys, tmp_path):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err == "error: parameter values are outside the floating-point range\n", argv
+    # A viewing window that rounds to zero or to infinity as a float.
+    for b, a in (("1e-400,1e-400", "1,1,1,1"), ("1,1", "1,1e400,1,1e400"),
+                 ("1.7e308,1", "1,1,1,1")):
+        code, out, err = run(capsys, "portrait", "--out", str(tmp_path / "edge.svg"),
+                             "--b", b, "--a", a)
+        assert code == 2, b
+        assert out == "" and err.startswith("error: the portrait's viewing window"), b
+        assert err.count("\n") == 1, b
     # Numbers argparse accepts but the command cannot use, and unreadable
     # or ill-shaped input files.
     not_a_system = tmp_path / "not_a_system.json"

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import decimal
 import inspect
 import math
 from fractions import Fraction
@@ -28,7 +29,7 @@ from lvcompete import (
     sign_of,
 )
 import lvcompete
-from lvcompete.exact import exact_compare
+from lvcompete.exact import _floor_of_form, _integer_form, exact_compare
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
@@ -120,7 +121,7 @@ def test_surd_known_value():
     # (-4 + sqrt(8)) / 2 = -2 + sqrt(2): negative
     s = QuadraticSurd(Fraction(-4), Fraction(8), Fraction(2), branch=1)
     assert s.is_real
-    assert s.sign() is Sign.NEG
+    assert s.real_part_sign() is Sign.NEG
     assert s.to_float() == pytest.approx(-2 + math.sqrt(2))
     assert s.as_rational() is None
 
@@ -136,7 +137,7 @@ def test_complex_surd_sign_queries():
     assert not s.is_real
     assert s.real_part_sign() is Sign.NEG
     with pytest.raises(ValueError):
-        s.sign()
+        exact_compare(s, Fraction(0))
     with pytest.raises(ValueError):
         s.to_float()
     z = s.to_complex()
@@ -150,27 +151,31 @@ def test_surd_sign_matches_float(p, q, branch):
     s = QuadraticSurd(p, abs(q), r, branch=branch)
     value = (float(p) + branch * math.sqrt(float(abs(q)))) / float(r)
     if abs(value) > 1e-9:  # away from the float round-off zone
-        assert s.sign() == sign_of(Fraction(1) if value > 0 else Fraction(-1))
+        assert s.real_part_sign() == sign_of(Fraction(1) if value > 0 else Fraction(-1))
     assert s.to_float() == pytest.approx(value)
+
+
+def floor_of(s: QuadraticSurd) -> int:
+    return _floor_of_form(*_integer_form(s))
 
 
 @given(rationals, rationals, rationals.filter(lambda r: r != 0), st.sampled_from([-1, 1]))
 def test_surd_floor_brackets_the_value_exactly(p, q, r, branch):
     s = QuadraticSurd(p, abs(q), r, branch=branch)
-    k = math.floor(s)
+    k = floor_of(s)
     # s - j = (p - j*r + branch*sqrt(q)) / r, signed exactly.
-    assert QuadraticSurd(p - k * r, abs(q), r, branch=branch).sign() >= 0
-    assert QuadraticSurd(p - (k + 1) * r, abs(q), r, branch=branch).sign() < 0
+    assert QuadraticSurd(p - k * r, abs(q), r, branch=branch).real_part_sign() >= 0
+    assert QuadraticSurd(p - (k + 1) * r, abs(q), r, branch=branch).real_part_sign() < 0
     if s.as_rational() is not None:
         assert k == math.floor(s.as_rational())
 
 
 def test_surd_floor_known_values():
-    assert math.floor(QuadraticSurd(Fraction(-4), Fraction(8), Fraction(2))) == -1
-    assert math.floor(QuadraticSurd(Fraction(-4), Fraction(8), Fraction(2), branch=-1)) == -4
-    assert math.floor(QuadraticSurd(Fraction(1), Fraction(4), Fraction(1), branch=-1)) == -1
+    assert floor_of(QuadraticSurd(Fraction(-4), Fraction(8), Fraction(2))) == -1
+    assert floor_of(QuadraticSurd(Fraction(-4), Fraction(8), Fraction(2), branch=-1)) == -4
+    assert floor_of(QuadraticSurd(Fraction(1), Fraction(4), Fraction(1), branch=-1)) == -1
     with pytest.raises(ValueError):
-        math.floor(QuadraticSurd(Fraction(1), Fraction(-4), Fraction(1)))
+        floor_of(QuadraticSurd(Fraction(1), Fraction(-4), Fraction(1)))
 
 
 @given(rationals)
@@ -220,6 +225,23 @@ def test_exact_compare_agrees_with_float_order(x, y):
     fx, fy = as_float(x), as_float(y)
     if abs(fx - fy) > 1e-9:
         assert exact_compare(x, y) is (Sign.POS if fx > fy else Sign.NEG)
+
+
+@given(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6), st.sampled_from([-1, 1]),
+       st.sampled_from([-1, 1]), st.integers(1, 10 ** 9), st.integers(-2, 2))
+def test_exact_compare_when_the_differences_nearly_cancel(a, b, t1, t2, scale, nudge):
+    """x = u + t1*sqrt(a) and y = t2*sqrt(b) with u a rational within about
+    1/scale of t2*sqrt(b) - t1*sqrt(a): the rational and surd parts of x - y
+    differ in sign and nearly cancel, so the cross term of the second
+    squaring decides.  A 60-digit decimal evaluation is the reference."""
+    u = Fraction(round((t2 * math.sqrt(b) - t1 * math.sqrt(a)) * scale) + nudge, scale)
+    x = QuadraticSurd(u, Fraction(a), Fraction(1), branch=t1)
+    y = QuadraticSurd(Fraction(0), Fraction(b), Fraction(1), branch=t2)
+    with decimal.localcontext(decimal.Context(prec=60)):
+        gap = (decimal.Decimal(u.numerator) / u.denominator
+               + t1 * decimal.Decimal(a).sqrt() - t2 * decimal.Decimal(b).sqrt())
+    assert exact_compare(x, y) is Sign((gap > 0) - (gap < 0))
+    assert exact_compare(y, x) is Sign((gap < 0) - (gap > 0))
 
 
 def test_exact_compare_orders_roots_that_floats_tie():

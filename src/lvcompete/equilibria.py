@@ -29,7 +29,7 @@ from .exact import (
     rational_sqrt,
     sign_of,
 )
-from .model import SystemParams, compute_determinants
+from .model import SystemParams, _triple_key, compute_determinants, feasible_sign_triples
 
 __all__ = [
     "EquilibriumKind",
@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 RationalPair = Tuple[Fraction, Fraction]
+_ZERO, _TWO = Fraction(0), Fraction(2)
 
 
 class EquilibriumKind(Enum):
@@ -151,7 +152,7 @@ class EquilibriumLine:
             x2=alpha,
             # With d12 = 0 one eigenvalue vanishes along the line; the
             # transverse one is the Jacobian trace, negative on the segment.
-            eigenvalues=_interior_eigenpair(p, Fraction(0), x1, alpha),
+            eigenvalues=EigenPair(_ZERO, -p.a11 * x1 - p.a22 * alpha),
             coincides_with=coincides,
             alpha=alpha,
         )
@@ -176,19 +177,6 @@ def jacobian_at(params: SystemParams, point: Sequence) -> Tuple[RationalPair, Ra
         (p.b1 - 2 * p.a11 * x1 - p.a12 * x2, -p.a12 * x1),
         (-p.a21 * x2, p.b2 - p.a21 * x1 - 2 * p.a22 * x2),
     )
-
-
-def _interior_eigenpair(params: SystemParams, d12: Fraction,
-                        x1: Fraction, x2: Fraction) -> EigenPair:
-    """Eigenvalues at a point on both oblique nullclines, kept exact."""
-    t = params.a11 * x1 + params.a22 * x2        # = -trace of the Jacobian
-    det = x1 * x2 * d12                          # = its determinant
-    disc = t * t - 4 * det
-    root = rational_sqrt(disc) if sign_of(disc) >= 0 else None
-    if root is None:
-        return EigenPair(QuadraticSurd(p=-t, q=disc, r=Fraction(2), branch=+1),
-                         QuadraticSurd(p=-t, q=disc, r=Fraction(2), branch=-1))
-    return EigenPair((root - t) / 2, (-t - root) / 2)
 
 
 def find_equilibria(
@@ -224,37 +212,48 @@ def _all_equilibria(
 ) -> Tuple[Tuple[Union[Equilibrium, EquilibriumLine], ...], int]:
     """Every equilibrium, the interior one wherever it lies, and how many of
     them (a prefix) lie in the closed quadrant.  Each test reads the exact
-    signs of the determinants."""
+    signs of the determinants; each value is one cross-multiplied ``Fraction(n, d)``."""
     p = params
     d = compute_determinants(params)
     s12, s112, s122 = d.signs
-    zero = Fraction(0)
 
     origin = Equilibrium(
-        kind=EquilibriumKind.ORIGIN, x1=zero, x2=zero,
+        kind=EquilibriumKind.ORIGIN, x1=_ZERO, x2=_ZERO,
         eigenvalues=EigenPair(p.b1, p.b2),
     )
 
     if not (s12 or s112 or s122):
         return (origin, EquilibriumLine(params=params)), 2
 
+    (n11, q11), (n22, q22) = p.a11.as_integer_ratio(), p.a22.as_integer_ratio()
+    (n112, q112), (n122, q122) = d.d112.as_integer_ratio(), d.d122.as_integer_ratio()
     axis1 = Equilibrium(
-        kind=EquilibriumKind.AXIS1, x1=p.b1 / p.a11, x2=zero,
-        eigenvalues=EigenPair(-p.b1, d.d112 / p.a11),
+        kind=EquilibriumKind.AXIS1, x1=Fraction(p.b1.numerator * q11, p.b1.denominator * n11),
+        x2=_ZERO, eigenvalues=EigenPair(-p.b1, Fraction(n112 * q11, q112 * n11)),
         coincides_with=EquilibriumKind.INTERIOR if (not s112 and s12) else None,
     )
     axis2 = Equilibrium(
-        kind=EquilibriumKind.AXIS2, x1=zero, x2=p.b2 / p.a22,
-        eigenvalues=EigenPair(-d.d122 / p.a22, -p.b2),
+        kind=EquilibriumKind.AXIS2, x1=_ZERO,
+        x2=Fraction(p.b2.numerator * q22, p.b2.denominator * n22),
+        eigenvalues=EigenPair(Fraction(-n122 * q22, q122 * n22), -p.b2),
         coincides_with=EquilibriumKind.INTERIOR if (not s122 and s12) else None,
     )
     if not (s12 and s112 and s122):
         return (origin, axis1, axis2), 3
 
-    x1, x2 = -d.d122 / d.d12, d.d112 / d.d12
+    # At (-d122/d12, d112/d12), det J = x1*x2*d12 and trace J = -u/(v*d12) with
+    # u/v = a22*d112 - a11*d122: the discriminant is (u**2 + 4*v**2*d112*d122*d12)/(v*d12)**2.
+    n12, q12 = d.d12.as_integer_ratio()
+    u = n22 * q11 * n112 * q122 - n11 * q22 * n122 * q112
+    v = q11 * q22 * q112 * q122
+    trace = Fraction(-u * q12, v * n12)
+    disc = Fraction(q12 * (u * u * q12 + 4 * n112 * n122 * n12 * q11 * q22 * v), (v * n12) ** 2)
+    root = rational_sqrt(disc) if sign_of(disc) >= 0 else None
+    eigenvalues = (EigenPair((trace + root) / 2, (trace - root) / 2) if root is not None else
+                   EigenPair(*[QuadraticSurd(p=trace, q=disc, r=_TWO, branch=b) for b in (1, -1)]))
     interior = Equilibrium(
-        kind=EquilibriumKind.INTERIOR, x1=x1, x2=x2,
-        eigenvalues=_interior_eigenpair(params, d.d12, x1, x2),
+        kind=EquilibriumKind.INTERIOR, eigenvalues=eigenvalues,
+        x1=Fraction(-n122 * q12, q122 * n12), x2=Fraction(n112 * q12, q112 * n12),
     )
     # x1 = -d122/d12 > 0 and x2 = d112/d12 > 0.
     inside = s122 != s12 and s112 == s12
@@ -352,6 +351,41 @@ class NullclineSet:
                 "curves": [c.to_json_dict() for c in self.curves]}
 
 
+#: Breakpoint slots: 0, b2/a22, b1/a11, the crossing c and (as hi) None.
+_AT_ZERO, _AT_B2_A22, _AT_B1_A11, _AT_CROSSING, _UNBOUNDED = range(5)
+#: Tags indexed by the crossing sign: tags[-1] is the last entry.
+_UP_DOWN = (Direction.STATIONARY, Direction.UP, Direction.DOWN)
+_RIGHT_LEFT = (Direction.STATIONARY, Direction.RIGHT, Direction.LEFT)
+
+
+def _segments(branch: NullclineBranch, sign: int, roots: Sequence[int]) -> tuple:
+    """The branch and its (lo slot, hi slot, tag) segments: see ``nullclines``."""
+    tags = _UP_DOWN if branch in _VERTICAL_FLOW else _RIGHT_LEFT
+    segments, lo = [], _AT_ZERO
+    for root in roots:
+        if root != lo:
+            segments.append((lo, root, tags[sign]))
+            lo = root
+        sign = -sign
+    return branch, (*segments, (lo, _UNBOUNDED, tags[sign]))
+
+
+def _nullcline_layout(signs: Tuple[Sign, Sign, Sign]) -> tuple:
+    """All four branches; a crossing at b1/a11 (d112 = 0) takes its slot."""
+    s12, s112, s122 = signs
+    crossing = [_AT_CROSSING if s112 else _AT_B1_A11] if s12 * s122 < 0 else []
+    oblique = [*crossing, _AT_B1_A11] if s12 * s112 > 0 else [_AT_B1_A11, *crossing]
+    s0 = s122 or s12
+    return (_VERTICAL, _segments(NullclineBranch.OBLIQUE_X1, s0, oblique),
+            _HORIZONTAL, _segments(NullclineBranch.OBLIQUE_X2, -s0, crossing))
+
+
+_VERTICAL = _segments(NullclineBranch.VERTICAL_AXIS, 1, [_AT_B2_A22])
+_HORIZONTAL = _segments(NullclineBranch.HORIZONTAL_AXIS, 1, [_AT_B1_A11])
+#: One layout per feasible sign triple, keyed by ``model._triple_key``.
+_NULLCLINE_LAYOUTS = {_triple_key(t): _nullcline_layout(t) for t in feasible_sign_triples()}
+
+
 def nullclines(params: SystemParams) -> NullclineSet:
     """All four nullcline branches with exact breakpoints and crossing tags.
 
@@ -361,36 +395,25 @@ def nullclines(params: SystemParams) -> NullclineSet:
     (vertical) or b1/a11 (horizontal).  On the oblique x1-nullcline,
     x2' = x2*(d12*v + d122)/a12 with x2 = (b1 - a11*v)/a12, so it starts at
     s0 = sign d122, or sign d12 when d122 = 0, and flips at b1/a11 and at
-    c = -d122/d12 when c > 0.  On the oblique x2-nullcline,
-    x1' = -v*(d12*v + d122)/a22 starts at -s0 and flips at c.  A root met
-    twice (b1/a11 = c exactly when d112 = 0) is one breakpoint with two
-    flips; a starting sign of 0 (d12 = d122 = 0) makes the branch STATIONARY.
+    c = -d122/d12 when c > 0; b1/a11 - c = a12*d112/(a11*d12), so c comes
+    first iff s12*s112 > 0, and the two are one breakpoint with two flips
+    iff d112 = 0.  On the oblique x2-nullcline, x1' = -v*(d12*v + d122)/a22
+    starts at -s0 and flips at c.  A starting sign of 0 (d12 = d122 = 0)
+    makes the branch STATIONARY.  The signs thus fix one layout per triple,
+    built at import; a call computes b2/a22, b1/a11 and c, each one
+    ``Fraction(n, d)`` of cross-multiplied integers, and no equilibria.
     """
     p = params
     d = compute_determinants(params)
-    s12, _, s122 = d.signs
-    b1_over_a11 = p.b1 / p.a11
-    crossing = [-d.d122 / d.d12] if s12 * s122 < 0 else []
-    s0 = s122 or s12
+    s12, s112, s122 = d.signs
+    values = (_ZERO,
+              Fraction(p.b2.numerator * p.a22.denominator, p.b2.denominator * p.a22.numerator),
+              Fraction(p.b1.numerator * p.a11.denominator, p.b1.denominator * p.a11.numerator),
+              Fraction(-d.d122.numerator * d.d12.denominator, d.d122.denominator * d.d12.numerator)
+              if s112 and s12 * s122 < 0 else None, None)
     curves = []
-    for branch, sign, roots in (
-        (NullclineBranch.VERTICAL_AXIS, 1, [p.b2 / p.a22]),
-        (NullclineBranch.OBLIQUE_X1, s0, [b1_over_a11, *crossing]),
-        (NullclineBranch.HORIZONTAL_AXIS, 1, [b1_over_a11]),
-        (NullclineBranch.OBLIQUE_X2, -s0, crossing),
-    ):
-        if branch in _VERTICAL_FLOW:
-            tags = (Direction.STATIONARY, Direction.UP, Direction.DOWN)
-        else:
-            tags = (Direction.STATIONARY, Direction.RIGHT, Direction.LEFT)
-        # Indexed by the sign: tags[-1] is the last entry.
-        segments = []
-        lo = Fraction(0)
-        for root in sorted(roots):
-            if root != lo:
-                segments.append(NullclineSegment(lo=lo, hi=root, direction=tags[sign]))
-                lo = root
-            sign = -sign
-        segments.append(NullclineSegment(lo=lo, hi=None, direction=tags[sign]))
-        curves.append(NullclineCurve(params=params, branch=branch, segments=tuple(segments)))
+    for branch, layout in _NULLCLINE_LAYOUTS[_triple_key(d.signs)]:
+        segments = tuple([NullclineSegment(lo=values[lo], hi=values[hi], direction=tag)
+                          for lo, hi, tag in layout])
+        curves.append(NullclineCurve(params=params, branch=branch, segments=segments))
     return NullclineSet(params=params, curves=tuple(curves))

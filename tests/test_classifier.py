@@ -338,3 +338,37 @@ def test_report_json_shares_no_container(gallery_params):
         doc["pattern_quadrant"][0] = "tampered"
         assert json.dumps(report.to_json_dict(), sort_keys=True) == before, label
         assert json.dumps(twin_report.to_json_dict(), sort_keys=True) == twin_before, label
+
+
+def test_session_fixtures_hold_the_live_import(gallery_params):
+    """The session fixtures are built from the package imported when the
+    tests run, so their reports pickle: pickle finds each class by its
+    module's name."""
+    for label, p in gallery_params.items():
+        assert type(p) is lv.SystemParams, label
+        report = classify(p)
+        assert pickle.loads(pickle.dumps(report)).to_json_dict() == report.to_json_dict(), label
+
+
+def test_rows_store_the_predicate_answers_of_their_triple():
+    for triple in lv.feasible_sign_triples():
+        dets = lv.compute_determinants(lv.sample_params(triple, rng_seed=1))
+        assert lv.classifier._row_of(triple).predicted == (
+            lv.thm_axis1_asymptotically_stable(dets), lv.thm_axis1_unstable(dets),
+            lv.thm_axis2_asymptotically_stable(dets), lv.thm_axis2_unstable(dets),
+            lv.thm_no_open_quadrant_equilibrium(dets), lv.thm_interior_class(dets),
+        ), triple
+
+
+def test_cross_check_reports_a_report_that_disagrees(monkeypatch):
+    """Negative control: with the interior equilibrium of a coexistence
+    system dropped from its report, the cross-check names the mismatch."""
+    coexistence = (Sign.POS, Sign.POS, Sign.NEG)
+    assert cross_check_theorems(lv.sample_params(coexistence, rng_seed=7)).ok
+    found = lv.classifier.find_equilibria
+    monkeypatch.setattr("lvcompete.classifier.find_equilibria",
+                        lambda params: [e for e in found(params) if e.kind is not K.INTERIOR])
+    verdict = cross_check_theorems(lv.sample_params(coexistence, rng_seed=7))
+    assert not verdict.ok
+    assert verdict.disagreements == [
+        "no open-quadrant equilibrium: predicate says False, report says True"]

@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lvcompete as lv
@@ -16,13 +16,16 @@ from lvcompete import (
     Equilibrium,
     EquilibriumKind,
     EquilibriumLine,
+    NullclineBranch,
     QuadraticSurd,
     Sign,
     SystemParams,
     find_equilibria,
     jacobian_at,
+    nullclines,
     rhs_exact,
 )
+from lvcompete.exact import rational_sqrt
 
 positive = st.fractions(
     min_value=Fraction(1, 8), max_value=Fraction(8), max_denominator=8
@@ -274,3 +277,97 @@ def test_json_serialisation_is_exact():
     degenerate = SystemParams.from_pairs((2, 4), ((1, 1), (1, 2)))
     e2 = by_kind(degenerate, K.AXIS2)
     assert e2.to_json_dict()["coincides_with"] == "interior"
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the cross-multiplied coordinates, eigenvalues and breakpoints:
+# every feasible sign triple (the zero-minor boundaries included), the
+# acceptance distribution and the small-fraction draws above.
+
+acceptance_rationals = st.builds(Fraction, st.integers(1, 12), st.integers(1, 4))
+oracle_params = st.one_of(
+    st.builds(lambda triple, seed: lv.sample_params(triple, rng_seed=seed),
+              st.sampled_from(lv.feasible_sign_triples()), st.integers(0, 2 ** 32 - 1)),
+    st.builds(SystemParams, *[acceptance_rationals] * 6),
+    params_strategy,
+)
+
+
+def reference_interior_eigenpair(p, x1, x2) -> EigenPair:
+    """Eigenvalues at a point on both oblique nullclines, by Fraction
+    arithmetic: -trace t = a11*x1 + a22*x2, det = x1*x2*d12."""
+    t = p.a11 * x1 + p.a22 * x2
+    disc = t * t - 4 * x1 * x2 * (p.a11 * p.a22 - p.a12 * p.a21)
+    root = rational_sqrt(disc) if disc >= 0 else None
+    if root is None:
+        return EigenPair(QuadraticSurd(p=-t, q=disc, r=Fraction(2), branch=+1),
+                         QuadraticSurd(p=-t, q=disc, r=Fraction(2), branch=-1))
+    return EigenPair((root - t) / 2, (-t - root) / 2)
+
+
+@settings(max_examples=300)
+@given(oracle_params)
+# d112 = 0, d122 = 0, and perfect-square discriminants inside the quadrant,
+# off it and equal to zero.
+@example(SystemParams.from_pairs((1, 1), ((1, 2), (1, 3))))
+@example(SystemParams.from_pairs((1, 1), ((2, 1), (1, 1))))
+@example(SystemParams.from_pairs((3, 3), ((2, 1), (1, 2))))
+@example(SystemParams.from_pairs(("9/4", "9/4"), (("1/4", 3), ("5/4", "1/4"))))
+@example(SystemParams.from_pairs((2, 2), (("5/2", 3), (4, "11/2"))))
+@example(SystemParams.from_pairs(("7/3", "7/3"), (("5/2", 6), ("3/2", 2))))
+def test_coordinates_and_eigenvalues_equal_their_quotients(p):
+    """Each cross-multiplied coordinate and eigenvalue equals the quotient
+    computed by Fraction arithmetic from the parameters."""
+    d112 = p.a11 * p.b2 - p.a21 * p.b1
+    d122 = p.a12 * p.b2 - p.a22 * p.b1
+    d12 = p.a11 * p.a22 - p.a12 * p.a21
+    entries = find_equilibria(p, include_off_quadrant=True)
+    if isinstance(entries[1], EquilibriumLine):
+        return
+    origin, axis1, axis2, *interior = entries
+    assert (axis1.x1, axis1.eigenvalues) == (p.b1 / p.a11, EigenPair(-p.b1, d112 / p.a11))
+    assert (axis2.x2, axis2.eigenvalues) == (p.b2 / p.a22, EigenPair(-d122 / p.a22, -p.b2))
+    assert len(interior) == (1 if d12 and d112 and d122 else 0)
+    for e in interior:
+        assert e.position == (-d122 / d12, d112 / d12)
+        assert e.eigenvalues == reference_interior_eigenpair(p, e.x1, e.x2)
+    assert all(type(v) is Fraction for e in entries for v in e.position)
+
+
+@settings(max_examples=300)
+@given(oracle_params)
+@example(SystemParams.from_pairs((1, 1), ((1, 2), (1, 3))))
+@example(SystemParams.from_pairs((1, 1), ((2, 1), (1, 1))))
+def test_nullcline_breakpoints_are_equilibrium_coordinates_in_order(p):
+    """The vertical, horizontal and crossing breakpoints are axis2.x2,
+    axis1.x1 and the x1 of the oblique crossing where it is positive (an
+    axis equilibrium when the crossing lands on it), and each branch lists
+    its breakpoints in increasing order."""
+    entries = find_equilibria(p, include_off_quadrant=True)
+    if isinstance(entries[1], EquilibriumLine):
+        axis1, axis2 = entries[1].endpoints()
+    else:
+        axis1, axis2 = entries[1:3]
+    crossing = [e.x1 for e in entries if isinstance(e, Equilibrium)
+                and K.INTERIOR in (e.kind, e.coincides_with) and e.x1 > 0]
+    ns = nullclines(p)
+    assert ns.curve(NullclineBranch.VERTICAL_AXIS).breakpoints == (0, axis2.x2)
+    assert ns.curve(NullclineBranch.HORIZONTAL_AXIS).breakpoints == (0, axis1.x1)
+    assert ns.curve(NullclineBranch.OBLIQUE_X2).breakpoints == (0, *crossing)
+    assert ns.curve(NullclineBranch.OBLIQUE_X1).breakpoints \
+        == tuple(sorted({0, axis1.x1, *crossing}))
+    for curve in ns.curves:
+        assert list(curve.breakpoints) == sorted(set(curve.breakpoints)), curve.branch
+        assert [s.hi for s in curve.segments] == [*curve.breakpoints[1:], None]
+
+
+@given(oracle_params)
+def test_cold_nullclines_equal_warm_ones(p):
+    """nullclines on a fresh params object gives what it gives once the
+    equilibria are built, and builds no equilibria itself."""
+    cold = SystemParams(b1=p.b1, b2=p.b2, a11=p.a11, a12=p.a12, a21=p.a21, a22=p.a22)
+    got = nullclines(cold)
+    assert cold._equilibria is None
+    lv.classify(p)
+    assert got.curves == nullclines(p).curves
+    assert got.to_json_dict() == nullclines(p).to_json_dict()

@@ -151,8 +151,6 @@ class _Row(NamedTuple):
     pattern_quadrant: Tuple[str, ...]
     #: The JSON "verdicts" object; ``to_json_dict`` copies it.
     verdicts_json: Dict[str, Dict[str, dict]]
-    #: The six ``thm_*`` answers, in the order ``cross_check_theorems`` reads them.
-    predicted: Tuple[bool, bool, bool, bool, bool, Optional[StabilityClass]]
 
     def __reduce__(self):
         # A copy or an unpickled report points at this import's shared row.
@@ -280,7 +278,6 @@ def _build_row(signs: Tuple[Sign, Sign, Sign]) -> _Row:
     case = sign_case(signs)
     serial = case.table6_serial
     assert serial is not None
-    triple = DeterminantTriple(*signs)  # exact values +-1 or 0 with these signs
     return _Row(
         case=case,
         portrait_class_full=serial,
@@ -292,10 +289,15 @@ def _build_row(signs: Tuple[Sign, Sign, Sign]) -> _Row:
         verdicts_json={kind.value: {scope.name.lower(): sc.to_json_dict()
                                     for scope, sc in scoped.items()}
                        for kind, scoped in verdicts.items()},
-        predicted=(thm_axis1_asymptotically_stable(triple), thm_axis1_unstable(triple),
-                   thm_axis2_asymptotically_stable(triple), thm_axis2_unstable(triple),
-                   thm_no_open_quadrant_equilibrium(triple), thm_interior_class(triple)),
     )
+
+
+#: One row per feasible sign triple, keyed by ``model._triple_key``.
+_ROWS: Dict[int, _Row] = {_triple_key(t): _build_row(t) for t in feasible_sign_triples()}
+
+
+def _row_of(signs: Tuple[Sign, Sign, Sign]) -> Optional[_Row]:
+    return _ROWS.get(_triple_key(signs))
 
 
 def classify(params: SystemParams) -> ClassificationReport:
@@ -404,14 +406,6 @@ def thm_interior_class(triple: DeterminantTriple) -> Optional[StabilityClass]:
     return None
 
 
-#: One row per feasible sign triple, keyed by ``model._triple_key``.
-_ROWS: Dict[int, _Row] = {_triple_key(t): _build_row(t) for t in feasible_sign_triples()}
-
-
-def _row_of(signs: Tuple[Sign, Sign, Sign]) -> Optional[_Row]:
-    return _ROWS.get(_triple_key(signs))
-
-
 @dataclass(frozen=True)
 class ConsistencyVerdict:
     #: The report the predicates were checked against.
@@ -427,13 +421,11 @@ def cross_check_theorems(params: SystemParams) -> ConsistencyVerdict:
     """Check the sign-condition predicates against the table-driven report.
 
     The two routes are independent: the predicates never look at
-    eigenvalues, the report never looks at the predicate disjunctions.  The
-    predicates' answers are read from the triple's row, built at import; the
-    report's equilibria are this system's.  Any mismatch is collected.
+    eigenvalues, the report never looks at the predicate disjunctions.
+    Any mismatch is collected rather than raised.
     """
     report = classify(params)
-    (axis1_attracting, axis1_unstable, axis2_attracting, axis2_unstable,
-     no_open_quadrant_equilibrium, predicted_e12) = report._row.predicted
+    triple = report.determinants
     problems: List[str] = []
 
     def check(label: str, predicted: bool, actual: bool) -> None:
@@ -442,17 +434,18 @@ def cross_check_theorems(params: SystemParams) -> ConsistencyVerdict:
 
     e1 = report.verdict_at(EquilibriumKind.AXIS1)
     e2 = report.verdict_at(EquilibriumKind.AXIS2)
-    check("axis1 attracting", axis1_attracting, is_asymptotically_stable(e1))
-    check("axis1 unstable", axis1_unstable, is_unstable(e1))
-    check("axis2 attracting", axis2_attracting, is_asymptotically_stable(e2))
-    check("axis2 unstable", axis2_unstable, is_unstable(e2))
+    check("axis1 attracting", thm_axis1_asymptotically_stable(triple), is_asymptotically_stable(e1))
+    check("axis1 unstable", thm_axis1_unstable(triple), is_unstable(e1))
+    check("axis2 attracting", thm_axis2_asymptotically_stable(triple), is_asymptotically_stable(e2))
+    check("axis2 unstable", thm_axis2_unstable(triple), is_unstable(e2))
 
     has_open_quadrant_equilibrium = report.line is not None or any(
         isinstance(e, Equilibrium) and e.kind is EquilibriumKind.INTERIOR
         and sign_of(e.x1) > 0 and sign_of(e.x2) > 0 for e in report.equilibria)
-    check("no open-quadrant equilibrium", no_open_quadrant_equilibrium,
+    check("no open-quadrant equilibrium", thm_no_open_quadrant_equilibrium(triple),
           not has_open_quadrant_equilibrium)
 
+    predicted_e12 = thm_interior_class(triple)
     actual_e12 = report.verdict_at(EquilibriumKind.INTERIOR)
     if predicted_e12 is None:
         if actual_e12 is not None:

@@ -29,7 +29,7 @@ from .exact import (
     rational_sqrt,
     sign_of,
 )
-from .model import SystemParams, _triple_key, compute_determinants, feasible_sign_triples
+from .model import SystemParams, compute_determinants
 
 __all__ = [
     "EquilibriumKind",
@@ -351,39 +351,9 @@ class NullclineSet:
                 "curves": [c.to_json_dict() for c in self.curves]}
 
 
-#: Breakpoint slots: 0, b2/a22, b1/a11, the crossing c and (as hi) None.
-_AT_ZERO, _AT_B2_A22, _AT_B1_A11, _AT_CROSSING, _UNBOUNDED = range(5)
 #: Tags indexed by the crossing sign: tags[-1] is the last entry.
 _UP_DOWN = (Direction.STATIONARY, Direction.UP, Direction.DOWN)
 _RIGHT_LEFT = (Direction.STATIONARY, Direction.RIGHT, Direction.LEFT)
-
-
-def _segments(branch: NullclineBranch, sign: int, roots: Sequence[int]) -> tuple:
-    """The branch and its (lo slot, hi slot, tag) segments: see ``nullclines``."""
-    tags = _UP_DOWN if branch in _VERTICAL_FLOW else _RIGHT_LEFT
-    segments, lo = [], _AT_ZERO
-    for root in roots:
-        if root != lo:
-            segments.append((lo, root, tags[sign]))
-            lo = root
-        sign = -sign
-    return branch, (*segments, (lo, _UNBOUNDED, tags[sign]))
-
-
-def _nullcline_layout(signs: Tuple[Sign, Sign, Sign]) -> tuple:
-    """All four branches; a crossing at b1/a11 (d112 = 0) takes its slot."""
-    s12, s112, s122 = signs
-    crossing = [_AT_CROSSING if s112 else _AT_B1_A11] if s12 * s122 < 0 else []
-    oblique = [*crossing, _AT_B1_A11] if s12 * s112 > 0 else [_AT_B1_A11, *crossing]
-    s0 = s122 or s12
-    return (_VERTICAL, _segments(NullclineBranch.OBLIQUE_X1, s0, oblique),
-            _HORIZONTAL, _segments(NullclineBranch.OBLIQUE_X2, -s0, crossing))
-
-
-_VERTICAL = _segments(NullclineBranch.VERTICAL_AXIS, 1, [_AT_B2_A22])
-_HORIZONTAL = _segments(NullclineBranch.HORIZONTAL_AXIS, 1, [_AT_B1_A11])
-#: One layout per feasible sign triple, keyed by ``model._triple_key``.
-_NULLCLINE_LAYOUTS = {_triple_key(t): _nullcline_layout(t) for t in feasible_sign_triples()}
 
 
 def nullclines(params: SystemParams) -> NullclineSet:
@@ -399,21 +369,36 @@ def nullclines(params: SystemParams) -> NullclineSet:
     first iff s12*s112 > 0, and the two are one breakpoint with two flips
     iff d112 = 0.  On the oblique x2-nullcline, x1' = -v*(d12*v + d122)/a22
     starts at -s0 and flips at c.  A starting sign of 0 (d12 = d122 = 0)
-    makes the branch STATIONARY.  The signs thus fix one layout per triple,
-    built at import; a call computes b2/a22, b1/a11 and c, each one
-    ``Fraction(n, d)`` of cross-multiplied integers, and no equilibria.
+    makes the branch STATIONARY.  So the signs give the order, with no sort
+    and no ``Fraction`` comparison; b2/a22, b1/a11 and c are each one
+    ``Fraction(n, d)`` of cross-multiplied integers, and no equilibria are built.
     """
     p = params
     d = compute_determinants(params)
     s12, s112, s122 = d.signs
-    values = (_ZERO,
-              Fraction(p.b2.numerator * p.a22.denominator, p.b2.denominator * p.a22.numerator),
-              Fraction(p.b1.numerator * p.a11.denominator, p.b1.denominator * p.a11.numerator),
-              Fraction(-d.d122.numerator * d.d12.denominator, d.d122.denominator * d.d12.numerator)
-              if s112 and s12 * s122 < 0 else None, None)
+    b1_over_a11 = Fraction(p.b1.numerator * p.a11.denominator, p.b1.denominator * p.a11.numerator)
+    # Every breakpoint is positive, and two on one branch are equal only when
+    # d112 = 0 puts c at b1/a11: c is then that same object, found by identity.
+    crossing = [Fraction(-d.d122.numerator * d.d12.denominator, d.d122.denominator * d.d12.numerator)
+                if s112 else b1_over_a11] if s12 * s122 < 0 else []
+    s0 = s122 or s12
     curves = []
-    for branch, layout in _NULLCLINE_LAYOUTS[_triple_key(d.signs)]:
-        segments = tuple([NullclineSegment(lo=values[lo], hi=values[hi], direction=tag)
-                          for lo, hi, tag in layout])
-        curves.append(NullclineCurve(params=params, branch=branch, segments=segments))
+    for branch, sign, roots in (
+        (NullclineBranch.VERTICAL_AXIS, 1,
+         [Fraction(p.b2.numerator * p.a22.denominator, p.b2.denominator * p.a22.numerator)]),
+        (NullclineBranch.OBLIQUE_X1, s0,
+         [*crossing, b1_over_a11] if s12 * s112 > 0 else [b1_over_a11, *crossing]),
+        (NullclineBranch.HORIZONTAL_AXIS, 1, [b1_over_a11]),
+        (NullclineBranch.OBLIQUE_X2, -s0, crossing),
+    ):
+        tags = _UP_DOWN if branch in _VERTICAL_FLOW else _RIGHT_LEFT
+        segments = []
+        lo = _ZERO
+        for root in roots:
+            if root is not lo:
+                segments.append(NullclineSegment(lo=lo, hi=root, direction=tags[sign]))
+                lo = root
+            sign = -sign
+        segments.append(NullclineSegment(lo=lo, hi=None, direction=tags[sign]))
+        curves.append(NullclineCurve(params=params, branch=branch, segments=tuple(segments)))
     return NullclineSet(params=params, curves=tuple(curves))

@@ -350,16 +350,6 @@ def test_session_fixtures_hold_the_live_import(gallery_params):
         assert pickle.loads(pickle.dumps(report)).to_json_dict() == report.to_json_dict(), label
 
 
-def test_rows_store_the_predicate_answers_of_their_triple():
-    for triple in lv.feasible_sign_triples():
-        dets = lv.compute_determinants(lv.sample_params(triple, rng_seed=1))
-        assert lv.classifier._row_of(triple).predicted == (
-            lv.thm_axis1_asymptotically_stable(dets), lv.thm_axis1_unstable(dets),
-            lv.thm_axis2_asymptotically_stable(dets), lv.thm_axis2_unstable(dets),
-            lv.thm_no_open_quadrant_equilibrium(dets), lv.thm_interior_class(dets),
-        ), triple
-
-
 def test_cross_check_reports_a_report_that_disagrees(monkeypatch):
     """Negative control: with the interior equilibrium of a coexistence
     system dropped from its report, the cross-check names the mismatch."""

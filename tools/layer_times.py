@@ -1,10 +1,10 @@
 """Print cold per-call medians of the exact spans of the ``exact_explore`` workload.
 
-    python3 tools/layer_times.py [--systems 4000] [--repeats 3] [--seed 5]
+    python3 tools/layer_times.py
 
 Run it from any directory; it imports lvcompete from ``src/`` and the
-workload from ``lvbench/workloads.py`` of the same checkout.  Every system of
-the stream goes through the workload's own ``work`` on a fresh copy of its
+workload from ``lvbench/workloads.py`` of the same checkout.  Three times
+over, each of the first 4,000 systems of the seed-5 stream goes through the workload's own ``work`` on a fresh copy of its
 parameters, so each span starts from what an untraced benchmark run gives
 it: ``sign_screen`` computes the determinants, the first ``classify`` builds
 the equilibria, and ``cross_check`` and ``find_equilibria`` read them back.
@@ -15,7 +15,6 @@ timed around the call alone; the table gives the median over all calls.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import statistics
 import sys
@@ -25,15 +24,10 @@ from itertools import islice
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SYSTEMS, REPEATS, SEED = 4000, 3, 5
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--systems", type=int, default=4000, help="systems of the stream")
-    parser.add_argument("--repeats", type=int, default=3, help="passes over those systems")
-    parser.add_argument("--seed", type=int, default=5, help="the workload's input seed")
-    args = parser.parse_args(argv)
-
+def main() -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "lvbench")]
     import lvcompete as lv
     import workloads
@@ -54,11 +48,11 @@ def main(argv=None) -> int:
 
     workload = workloads.ExactExplore()
     lib = workloads.Lib(lv, wrap)
-    items = list(islice(workload.inputs(lv, args.seed), args.systems))
-    for _ in range(args.repeats):
+    items = list(islice(workload.inputs(lv, SEED), SYSTEMS))
+    for _ in range(REPEATS):
         for item in items:
             fresh = lv.SystemParams(**item.params.__getstate__())
-            workload.work(lv, lib, dataclasses.replace(item, params=fresh), args.seed)
+            workload.work(lv, lib, dataclasses.replace(item, params=fresh), SEED)
 
     print(f"{'span':<30} {'calls':>7} {'median_us':>10}")
     for name, spent in durations.items():

@@ -26,7 +26,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .exact import Sign, sign_of
 from .model import SystemParams, compute_determinants
-from .equilibria import Equilibrium, EquilibriumKind, find_equilibria
+from .equilibria import Equilibrium, EquilibriumKind, _order_limit, find_equilibria
 from .classifier import StabilityClass, Verdict, is_asymptotically_stable, is_unstable
 
 __all__ = [
@@ -590,15 +590,18 @@ class ProbeProtocol:
     could slide into a saddle along the saddle's stable axis; the first
     angle lies in (0, pi/2), so every target keeps a start in the
     quadrant.  A probe converges if it comes within ``settle_tol`` of the
-    target before the horizon of 1e4 (``_PROBE_HORIZON``), escapes
-    if it leaves the ball of 10 ring radii (``_ESCAPE_FACTOR``) and stays
-    out, and settles elsewhere if it stops moving (speed at most 1e-9,
-    ``_SETTLE_VELOCITY``) anywhere else.  For full-plane probing of a
-    degenerate axis equilibrium with d12 > 0, four extra probes
-    (``_WEDGE_PROBE_COUNT``) are planted inside the escaping wedge, which
-    can be too thin for angular sampling to hit.  Every probe integrates
-    with rtol 1e-8 and atol 1e-11 and stores every 64th step
-    (``_PROBE_INTEGRATOR``).
+    target before the horizon of 1e4 (``_PROBE_HORIZON``), escapes if it
+    leaves the ball of 10 ring radii (``_ESCAPE_FACTOR``) and stays out, and
+    settles elsewhere if it stops moving (speed at most 1e-9,
+    ``_SETTLE_VELOCITY``) anywhere else.  "Stays out" is proven, not waited
+    for, when the start lies in the closed quadrant and the equilibria are
+    isolated: the run stops at the first point outside the ball whose exact
+    field lies in a cone of the competitive order, if the equilibrium the
+    order names as its limit is not the target.  For full-plane probing of
+    a degenerate axis equilibrium with d12 > 0, four extra probes
+    (``_WEDGE_PROBE_COUNT``) are planted inside the escaping wedge, which can
+    be too thin for angular sampling to hit.  Every probe integrates with
+    rtol 1e-8 and atol 1e-11 and stores every 64th step (``_PROBE_INTEGRATOR``).
     """
 
     probe_count: int = 16
@@ -626,6 +629,8 @@ class ProbeResult:
     #: Accepted and rejected integrator steps of the probe run.
     n_accepted: int
     n_rejected: int
+    #: Another equilibrium, the limit that stopped the run (see ProbeProtocol).
+    limit: Optional[Equilibrium] = None
 
     @property
     def started_in_quadrant(self) -> bool:
@@ -643,6 +648,7 @@ class ProbeResult:
             "max_distance": self.max_distance,
             "n_accepted": self.n_accepted,
             "n_rejected": self.n_rejected,
+            "limit": None if self.limit is None else [str(self.limit.x1), str(self.limit.x2)],
         }
 
 
@@ -748,6 +754,9 @@ def empirical_stability(
     INCONCLUSIVE when any probe times out undecided.  Probing an
     equilibrium with a zero eigenvalue automatically extends the horizon:
     convergence along a center direction is algebraic, not exponential.
+    A quadrant probe outside the escape ball whose field lies in a cone
+    (f1*f2 <= 0 in floats, then exactly) stops once ``equilibria._order_limit``
+    certifies a limit other than the target, and reports ESCAPED with it.
     """
     protocol = protocol or ProbeProtocol()
     target = eq.float_position
@@ -804,9 +813,12 @@ def empirical_stability(
         # left the escape ball, and whether it came back in.
         max_dist = low = 0.0
         exited = reentered = False
+        # The order is monotone on the closed quadrant; a line has no rule yet.
+        certify = start[0] >= 0.0 and start[1] >= 0.0 and any(compute_determinants(params).signs)
+        limit = None
 
         def stop_condition(t: float, x: Point) -> bool:
-            nonlocal max_dist, low, exited, reentered
+            nonlocal max_dist, low, exited, reentered, certify, limit
             x1, x2 = x
             dist = math.hypot(x1 - tx, x2 - ty)
             if dist <= ball:
@@ -826,13 +838,19 @@ def empirical_stability(
             low = -1.0
             if t <= 0.0:
                 return False
-            # Outside the escape ball: halt once the probe has settled at
-            # some other attractor, judged against a scale-aware noise floor.
-            # Without this, a probe of a zero-eigenvalue target (which
-            # disables the velocity detector, and extends the horizon) would
-            # grind out tens of millions of steps parked at a neighboring sink.
             f1 = x1 * (b1f - a11f * x1 - a12f * x2)
             f2 = x2 * (b2f - a21f * x1 - a22f * x2)
+            # Out here a limit other than the target, 20 ring radii away, means
+            # the probe has escaped for good; once it is the target, stop asking.
+            if certify and f1 * f2 <= 0.0 and dist < math.inf:
+                found = _order_limit(params, Fraction(x1), Fraction(x2))
+                if found is not None and found.position != eq.position:
+                    limit = found
+                    return True
+                certify = found is None
+            # Else halt once the probe has settled elsewhere, against a
+            # scale-aware noise floor: a zero-eigenvalue target's probe (no
+            # velocity detector, long horizon) would grind on at a neighbor sink.
             lim1 = max(vel_floor, noise * abs(x1) * (b1f + a11f * abs(x1) + a12f * abs(x2)))
             lim2 = max(vel_floor, noise * abs(x2) * (b2f + a21f * abs(x1) + a22f * abs(x2)))
             return abs(f1) <= lim1 and abs(f2) <= lim2
@@ -857,7 +875,7 @@ def empirical_stability(
             status=traj.terminal_status, final_point=traj.final_point,
             final_distance=final_dist, max_distance=max_dist,
             exited_ball=exited, reentered_after_exit=reentered,
-            n_accepted=traj.n_accepted, n_rejected=traj.n_rejected,
+            n_accepted=traj.n_accepted, n_rejected=traj.n_rejected, limit=limit,
         )
 
     results = [run_probe(*entry) for entry in starts]

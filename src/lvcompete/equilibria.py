@@ -29,7 +29,7 @@ from .exact import (
     rational_sqrt,
     sign_of,
 )
-from .model import SystemParams, compute_determinants
+from .model import SystemParams, compute_determinants, rhs_exact
 
 __all__ = [
     "EquilibriumKind",
@@ -258,6 +258,28 @@ def _all_equilibria(
     # x1 = -d122/d12 > 0 and x2 = d112/d12 > 0.
     inside = s122 != s12 and s112 == s12
     return (origin, axis1, axis2, interior), 4 if inside else 3
+
+
+def _order_limit(params: SystemParams, x1: Fraction, x2: Fraction) -> Optional[Equilibrium]:
+    """The quadrant equilibrium that the orbit of (x1, x2) tends to, if the
+    competitive order decides it, else None.
+
+    On the closed quadrant the flow is monotone for x <=_K y iff x1 <= y1 and
+    x2 >= y2: the off-diagonal Jacobian entries -a12*x1, -a21*x2 are <= 0
+    (Hirsch, SIAM J. Math. Anal. 16, 1985; Smith, Monotone Dynamical Systems,
+    1995, ch. 3).  If f1 >= 0 >= f2 at p, the orbit is K-nondecreasing and
+    bounded by every equilibrium q >=_K p, so it tends to the K-least one; if
+    f1 <= 0 <= f2, to the K-greatest one K-below p.  No line rule yet.
+    """
+    f1, f2 = rhs_exact(params, x1, x2)
+    s = 1 if f1 >= 0 >= f2 else -1 if f1 <= 0 <= f2 else 0
+    entries = find_equilibria(params)
+    if not s or x1 < 0 or x2 < 0 or isinstance(entries[-1], EquilibriumLine):
+        return None
+    # With s = -1 the comparisons mirror: "K-above" reads "K-below".
+    above = [q for q in entries if s * (q.x1 - x1) >= 0 >= s * (q.x2 - x2)]
+    return next((q for q in above
+                 if all(s * (r.x1 - q.x1) >= 0 >= s * (r.x2 - q.x2) for r in above)), None)
 
 
 # ---------------------------------------------------------------------------

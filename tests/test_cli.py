@@ -174,6 +174,23 @@ def test_verify_json_records_every_probe_with_its_step_counts(capsys):
                 assert probe["n_accepted"] > 0 and probe["n_rejected"] >= 0
 
 
+def test_verify_json_gives_each_probe_its_certified_limit(capsys):
+    """Every probe record has a ``limit`` key; each escaped probe of case1's
+    origin and of its two axis saddles was stopped at the interior sink
+    (2, 1), in exact strings, and each converging probe has null."""
+    code, out, _ = run(capsys, "verify", "--gallery", "case1", "--json")
+    assert code == 0
+    records = json.loads(out)["empirical"]
+    kinds = {record["target"]["kind"]: record["probes"] for record in records}
+    assert set(kinds) == {"origin", "axis1", "axis2", "interior"}
+    for kind, probes in kinds.items():
+        assert probes and all("limit" in probe for probe in probes)
+        for probe in probes:
+            expected = None if kind == "interior" else ["2", "1"]
+            assert probe["outcome"] == ("converged to target" if expected is None else "escaped")
+            assert probe["limit"] == expected, (kind, probe["label"])
+
+
 def test_verify_says_why_a_probe_is_inconclusive(capsys):
     """At b1 = 1e-300 the origin and the axis-1 point are too close to
     probe; the FAIL lines must give that reason, not only the verdict."""

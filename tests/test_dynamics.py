@@ -42,6 +42,7 @@ from lvcompete.dynamics import (
     _probe_radius,
     _wedge_starts,
 )
+from lvcompete.equilibria import _order_limit
 from lvcompete.equilibria import _VERTICAL_FLOW, Equilibrium, EquilibriumLine, NullclineBranch
 from lvcompete.exact import Sign
 
@@ -705,6 +706,66 @@ def test_probe_ball_tracking_sees_every_accepted_step(gallery_params, monkeypatc
                 before and not after for before, after in zip(outside, outside[1:]))
             reentries += probe.reentered_after_exit
     assert (reentries > 0) == (label == "reentry")
+
+
+def _gallery_quadrant_probes(gallery_params):
+    """Quadrant-scope rings of 16 probes around every isolated quadrant
+    equilibrium of the gallery (27 targets), as (label, params, target,
+    verdict)."""
+    for label, p in gallery_params.items():
+        for eq in find_equilibria(p):
+            if isinstance(eq, Equilibrium):
+                yield label, p, eq, empirical_stability(p, eq, ProbeProtocol(probe_count=16))
+
+
+def test_escaped_quadrant_probes_stop_at_their_certified_limit(gallery_params):
+    """Outside the escape ball, a quadrant probe whose field lies in a cone
+    of the competitive order stops once the order names another
+    equilibrium as its limit; the certificate holds at its final point.
+    Probes that converge carry no limit.  case9's line of equilibria has no
+    order rule, so its origin's probes escape the old way."""
+    escaped = 0
+    for label, p, eq, emp in _gallery_quadrant_probes(gallery_params):
+        for probe in emp.probes:
+            where = (label, eq.kind, probe.label)
+            if probe.outcome is not ProbeOutcome.ESCAPED or label == "case9":
+                assert probe.limit is None, where
+                continue
+            escaped += 1
+            assert probe.status is TerminalStatus.STOPPED, where
+            assert probe.limit is not None and probe.limit.position != eq.position, where
+            assert probe.limit is _order_limit(p, *map(Fraction, probe.final_point)), where
+    assert escaped == 112
+
+
+def test_a_rule_that_names_the_target_lets_the_probes_run_on(gallery_params, monkeypatch):
+    """Negative control: with the rule patched to name the target, every
+    probe keeps running as it did before the rule, to the same outcomes,
+    with no limit and more steps."""
+    import lvcompete.dynamics as dynamics
+
+    certified = list(_gallery_quadrant_probes(gallery_params))
+    steps = sum(r.n_accepted for *_, emp in certified for r in emp.probes)
+    patched_steps = 0
+    for label, p, eq, emp in certified:
+        monkeypatch.setattr(dynamics, "_order_limit", lambda *_: eq)
+        run_on = empirical_stability(p, eq, ProbeProtocol(probe_count=16))
+        assert run_on.verdict is emp.verdict, (label, eq.kind)
+        assert [(r.outcome, r.exited_ball) for r in run_on.probes] == \
+            [(r.outcome, r.exited_ball) for r in emp.probes], (label, eq.kind)
+        assert all(r.limit is None for r in run_on.probes), (label, eq.kind)
+        patched_steps += sum(r.n_accepted for r in run_on.probes)
+    assert patched_steps > 2 * steps
+
+
+def test_gallery_quadrant_probes_stay_under_a_step_ceiling(gallery_params):
+    """The 27 gallery quadrant targets took 67,296 accepted steps when an
+    escaped probe ran on until it settled at another equilibrium, and
+    24,683 with the stop at a certified limit; the ceiling is about 10%
+    above that."""
+    total = sum(r.n_accepted for *_, emp in _gallery_quadrant_probes(gallery_params)
+                for r in emp.probes)
+    assert total < 27_000
 
 
 def test_probe_ring_confirms_interior_saddle(gallery_params):

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import importlib
+import math
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lvcompete as lv
@@ -25,6 +26,7 @@ from lvcompete import (
     nullclines,
     rhs_exact,
 )
+from lvcompete.equilibria import _order_limit
 from lvcompete.exact import rational_sqrt
 
 positive = st.fractions(
@@ -285,9 +287,10 @@ def test_json_serialisation_is_exact():
 # acceptance distribution and the small-fraction draws above.
 
 acceptance_rationals = st.builds(Fraction, st.integers(1, 12), st.integers(1, 4))
+triple_params = st.builds(lambda triple, seed: lv.sample_params(triple, rng_seed=seed),
+                          st.sampled_from(lv.feasible_sign_triples()), st.integers(0, 2 ** 32 - 1))
 oracle_params = st.one_of(
-    st.builds(lambda triple, seed: lv.sample_params(triple, rng_seed=seed),
-              st.sampled_from(lv.feasible_sign_triples()), st.integers(0, 2 ** 32 - 1)),
+    triple_params,
     st.builds(SystemParams, *[acceptance_rationals] * 6),
     params_strategy,
 )
@@ -371,3 +374,57 @@ def test_cold_nullclines_equal_warm_ones(p):
     lv.classify(p)
     assert got.curves == nullclines(p).curves
     assert got.to_json_dict() == nullclines(p).to_json_dict()
+
+
+# ---------------------------------------------------------------------------
+# The competitive order: a quadrant point whose field lies in a cone has an
+# exact limit, which an integration from that point must reach.
+
+unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=1000)
+
+
+def cone_point(p: SystemParams, u: Fraction, w: Fraction):
+    """The float-exact point at fraction u of [0, max(b1/a11, b2/a21)] and
+    fraction w of the band between the two oblique nullclines above it
+    (clipped to x2 >= 0), where f1 and f2 differ in sign."""
+    x1 = u * max(p.b1 / p.a11, p.b2 / p.a21)
+    n1, n2 = (p.b1 - p.a11 * x1) / p.a12, (p.b2 - p.a21 * x1) / p.a22
+    lo, hi = max(0, min(n1, n2)), max(0, n1, n2)
+    return Fraction(float(x1)), Fraction(float(lo + w * (hi - lo)))
+
+
+@settings(max_examples=200)
+@given(triple_params, unit_fractions, unit_fractions)
+def test_order_limit_is_where_integration_ends(p, u, w):
+    """For every feasible triple the rule names an equilibrium (a line of
+    equilibria has no rule, so None), and an integration from the point at
+    the probes' tolerances ends closer to it than to any other quadrant
+    equilibrium, also where the approach is algebraic.  With no zero
+    determinant it ends within 1e-6 of it."""
+    x1, x2 = cone_point(p, u, w)
+    f1, f2 = rhs_exact(p, x1, x2)
+    assume(f1 * f2 <= 0)
+    limit = _order_limit(p, x1, x2)
+    entries = find_equilibria(p)
+    if isinstance(entries[-1], EquilibriumLine):
+        assert limit is None
+        return
+    assert limit in entries
+    traj = lv.integrate(p, (float(x1), float(x2)), 1e4,
+                        lv.IntegratorOptions(rel_tol=1e-8, abs_tol=1e-11))
+    fx1, fx2 = traj.final_point
+    gap = {e.position: math.hypot(fx1 - e.x1, fx2 - e.x2) for e in entries}
+    assert all(gap[limit.position] < d for q, d in gap.items() if q != limit.position), \
+        (limit.kind, traj.final_point, traj.terminal_status)
+    if all(lv.compute_determinants(p).signs):
+        assert gap[limit.position] <= 1e-6, (limit.kind, gap[limit.position])
+
+
+@pytest.mark.parametrize("x1,x2", [(0, 0), (3, 4), (-1, 1), (1, -1)])
+def test_order_limit_outside_both_cones_or_the_quadrant_is_none(x1, x2):
+    """case1 (interior sink (2, 1)): the origin is its own limit; (3, 4) lies
+    above both oblique nullclines, so f1 < 0 and f2 < 0; a point off the
+    quadrant has no rule."""
+    p = lv.gallery_entry("case1").params
+    expected = by_kind(p, K.ORIGIN) if (x1, x2) == (0, 0) else None
+    assert _order_limit(p, Fraction(x1), Fraction(x2)) is expected

@@ -9,8 +9,8 @@ depends on a frozen table, so both check the classifier, the equilibrium
 finder, the sign-condition predicates and the path scanner against the
 model itself.  The swap also checks the probes' wedge starts, whose axis-1
 points must mirror the axis-2 points of the swapped system, the two Lyapunov
-constructions, the probe verdicts on the gallery systems and all four
-nullcline branches; the rescalings check the breakpoints and tags of all four
+constructions, the probe verdicts on the gallery systems, the competitive
+order's limit rule and all four nullcline branches; the rescalings check the breakpoints and tags of all four
 nullcline branches and every event of a path scan.
 """
 
@@ -47,6 +47,7 @@ from lvcompete import (
     four_case_catalog,
     lyapunov_verify,
     nullclines,
+    rhs_exact,
     sample_params,
     scan_path,
     sign_case,
@@ -58,6 +59,7 @@ from lvcompete import (
     thm_no_open_quadrant_equilibrium,
 )
 from lvcompete.dynamics import _wedge_starts
+from lvcompete.equilibria import _order_limit
 
 K = EquilibriumKind
 W = WhichDeterminant
@@ -352,6 +354,26 @@ def test_swap_keeps_the_probe_verdicts(label, scope):
         assert twin.kind is KIND_SWAP[eq.kind]
         assert empirical_stability(swap(p), twin, protocol).verdict is \
             empirical_stability(p, eq, protocol).verdict
+
+
+@PROFILE
+@given(triple_params, *[st.fractions(min_value=0, max_value=1, max_denominator=1000)] * 2)
+def test_swap_mirrors_the_order_limit(p, u, w):
+    """A point at fraction u of [0, max(b1/a11, b2/a21)] and fraction w of
+    the band between the oblique nullclines (clipped to x2 >= 0) has f1 and
+    f2 of opposite signs.  sigma maps the field to (f2, f1), one cone onto
+    the other, and the K-least equilibrium K-above x onto the K-greatest one
+    K-below sigma(x): limit(sigma p, sigma x) = sigma limit(p, x)."""
+    x1 = u * max(p.b1 / p.a11, p.b2 / p.a21)
+    n1, n2 = (p.b1 - p.a11 * x1) / p.a12, (p.b2 - p.a21 * x1) / p.a22
+    lo, hi = max(0, min(n1, n2)), max(0, n1, n2)
+    x2 = lo + w * (hi - lo)
+    f1, f2 = rhs_exact(p, x1, x2)
+    assert f1 * f2 <= 0
+    limit, twin = _order_limit(p, x1, x2), _order_limit(swap(p), x2, x1)
+    assert (limit is None) == (twin is None) == (not any(compute_determinants(p).signs))
+    if limit is not None:
+        assert twin.position == (limit.x2, limit.x1) and twin.kind is KIND_SWAP[limit.kind]
 
 
 # ---------------------------------------------------------------------------

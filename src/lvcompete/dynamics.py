@@ -184,9 +184,9 @@ def _spectral_radius(j11: float, j12: float, j21: float, j22: float) -> float:
     return abs(half_trace) + math.sqrt(disc)
 
 
-def _max_drift(window: deque, x1: float, x2: float) -> float:
-    """Largest sup-norm distance from (x1, x2) to a point of ``window``."""
-    return max(max(abs(x1 - w1), abs(x2 - w2)) for _, w1, w2 in window)
+def _drift_within(window: deque, x1: float, x2: float, tol: float) -> bool:
+    """Whether every point of ``window`` is within ``tol`` of (x1, x2) in the sup norm."""
+    return all(-tol <= x1 - w1 <= tol and -tol <= x2 - w2 <= tol for _, w1, w2 in window)
 
 
 def integrate(
@@ -222,6 +222,10 @@ def integrate(
     the stage block, and all that follows is shared.  Only the reject and
     controller exponents and the switch count change with the stepper
     (``_RKF45_CONTROL``, ``_ROS3_CONTROL``); a switching step keeps its h.
+    The loop calls no builtin to test a size: |x| is ``x if x >= 0.0 else
+    -x``, and the escape, velocity and drift tests are chained comparisons
+    such as ``-bound <= x1 <= bound``, which NaN fails, so a NaN or infinite
+    state leaves the domain and a NaN velocity never counts as settled.
     """
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
@@ -253,13 +257,14 @@ def integrate(
 
     if stop_condition is not None and stop_condition(t, (x1, x2)):
         return finish(TerminalStatus.STOPPED, t, x1, x2)
+    # A NaN start is no escape (NaN > bound is false); its steps fail instead.
     if max(abs(x1), abs(x2)) > escape_bound:
         return finish(TerminalStatus.LEFT_DOMAIN, t, x1, x2)
     # Stage-1 slopes; reused across rejected retries and carried over from
     # the convergence check of the previous accepted step.
     k11 = x1 * (b1 - a11 * x1 - a12 * x2)
     k12 = x2 * (b2 - a21 * x1 - a22 * x2)
-    if conv_tol > 0 and max(abs(k11), abs(k12)) <= conv_tol:
+    if conv_tol > 0 and -conv_tol <= k11 <= conv_tol and -conv_tol <= k12 <= conv_tol:
         return finish(TerminalStatus.CONVERGED, t, x1, x2)
 
     min_step = _MIN_STEP_FACTOR * horizon
@@ -349,11 +354,11 @@ def integrate(
             e1 = h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61)
             e2 = h * (_E1 * k12 + _E3 * k32 + _E4 * k42 + _E5 * k52 + _E6 * k62)
 
-        a1 = abs(x1n)
-        v = abs(x1)
+        a1 = x1n if x1n >= 0.0 else -x1n
+        v = x1 if x1 >= 0.0 else -x1
         sc1 = abs_tol + rel_tol * (a1 if a1 > v else v)
-        a2 = abs(x2n)
-        v = abs(x2)
+        a2 = x2n if x2n >= 0.0 else -x2n
+        v = x2 if x2 >= 0.0 else -x2
         sc2 = abs_tol + rel_tol * (a2 if a2 > v else v)
         q1 = e1 / sc1
         q2 = e2 / sc2
@@ -376,7 +381,7 @@ def integrate(
 
         if stop_condition is not None and stop_condition(t, (x1, x2)):
             return finish(TerminalStatus.STOPPED, t, x1, x2)
-        if not (abs(x1) <= escape_bound and abs(x2) <= escape_bound):
+        if not (-escape_bound <= x1 <= escape_bound and -escape_bound <= x2 <= escape_bound):
             # non-finite coordinates land here too
             return finish(TerminalStatus.LEFT_DOMAIN, t, x1, x2)
 
@@ -387,10 +392,10 @@ def integrate(
             window.append((t, x1, x2))
             while len(window) >= 2 and window[1][0] <= t - _CONV_WINDOW:
                 window.popleft()
-            if (max(abs(k11), abs(k12)) <= conv_tol
-                    and window[0][0] <= t - _CONV_WINDOW):
-                if _max_drift(window, x1, x2) <= conv_tol:
-                    return finish(TerminalStatus.CONVERGED, t, x1, x2)
+            if (-conv_tol <= k11 <= conv_tol and -conv_tol <= k12 <= conv_tol
+                    and window[0][0] <= t - _CONV_WINDOW
+                    and _drift_within(window, x1, x2, conv_tol)):
+                return finish(TerminalStatus.CONVERGED, t, x1, x2)
 
         if fixed is None:
             check -= 1

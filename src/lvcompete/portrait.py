@@ -11,6 +11,7 @@ non-isolated equilibria.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -126,15 +127,11 @@ class _Canvas:
             f"{content}</text>"
         )
 
-    def arrow_glyph(self, x, y, angle, color="#4a6fa5"):
-        cx, cy = self.px(x), self.py(y)
-        # Pixel-space angle: the y axis is flipped.
+    def arrow_glyph(self, cx, cy, angle, color="#4a6fa5"):
+        # (cx, cy) is in pixels; pixel-space angle: the y axis is flipped.
         a = -angle
-        size = 5.0
-        tips = []
-        for da in (0.0, 2.6, -2.6):
-            tips.append((cx + size * math.cos(a + da), cy + size * math.sin(a + da)))
-        pts = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in tips)
+        pts = " ".join(f"{cx + 5.0 * math.cos(a + da):.2f},{cy + 5.0 * math.sin(a + da):.2f}"
+                       for da in (0.0, 2.6, -2.6))
         self.elements.append(f'<polygon points="{pts}" fill="{color}" />')
 
 
@@ -182,37 +179,50 @@ def _draw_axes(canvas: _Canvas) -> None:
 def _draw_trajectories(canvas: _Canvas, params: SystemParams) -> None:
     opts = IntegratorOptions(rel_tol=1e-7, abs_tol=1e-10, conv_tol=1e-7,
                              escape_bound=1e4)
+    x_min, x_max, y_min, y_max = canvas.x_min, canvas.x_max, canvas.y_min, canvas.y_max
+    pad = canvas.pad
+    usable = _SIZE - 2 * pad
     n = _SEEDS
     for i in range(n):
         for j in range(n):
-            sx = (i + 0.5) / n * canvas.x_max * 0.92
-            sy = (j + 0.5) / n * canvas.y_max * 0.92
+            sx = (i + 0.5) / n * x_max * 0.92
+            sy = (j + 0.5) / n * y_max * 0.92
             traj = integrate(params, (sx, sy), _TRAJECTORY_HORIZON, opts)
-            pts = [(x, y) for _, x, y in traj.samples if canvas.inside(x, y)]
+            # The expressions of _Canvas.px and _Canvas.py, so every digit agrees.
+            pts = [(x, y, pad + (x - x_min) / (x_max - x_min) * usable,
+                    _SIZE - pad - (y - y_min) / (y_max - y_min) * usable)
+                   for _, x, y in traj.samples
+                   if x_min <= x <= x_max and y_min <= y <= y_max]
             if len(pts) < 2:
                 continue
-            canvas.polyline(pts, "#8ab0d9", "0.9")
+            coords = " ".join([f"{u:.2f},{v:.2f}" for _, _, u, v in pts])
+            canvas.elements.append(f'<polyline points="{coords}" fill="none" '
+                                   f'stroke="#8ab0d9" stroke-width="0.9" />')
             _place_arrows(canvas, params, pts)
 
 
-def _place_arrows(canvas: _Canvas, params: SystemParams, pts: List[Tuple[float, float]]) -> None:
-    # Arc length in pixel space so the glyph spacing looks uniform.
+def _place_arrows(canvas: _Canvas, params: SystemParams,
+                  pts: List[Tuple[float, float, float, float]]) -> None:
+    """Put arrow glyphs at 35% and 75% of a trajectory's pixel arc length.
+
+    ``pts`` holds each drawn sample as (x, y, px, py), mapped to pixels once
+    by ``_draw_trajectories``; summing pixel steps keeps the glyphs evenly
+    spaced, and since the running lengths never decrease, ``bisect`` finds
+    the first sample at or past each fraction.
+    """
     cum = [0.0]
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        dx = canvas.px(x1) - canvas.px(x0)
-        dy = canvas.py(y1) - canvas.py(y0)
-        cum.append(cum[-1] + math.hypot(dx, dy))
-    total = cum[-1]
+    total = 0.0
+    for (_, _, u0, v0), (_, _, u1, v1) in zip(pts, pts[1:]):
+        total += math.hypot(u1 - u0, v1 - v0)
+        cum.append(total)
     if total < 30.0:
         return
     for frac in (0.35, 0.75):
-        target = total * frac
-        k = next(i for i, c in enumerate(cum) if c >= target)
-        x, y = pts[k]
+        x, y, u, v = pts[bisect.bisect_left(cum, total * frac)]
         vx, vy = vector_field(params, (x, y))
         if vx == 0.0 and vy == 0.0:
             continue
-        canvas.arrow_glyph(x, y, math.atan2(vy, vx))
+        canvas.arrow_glyph(u, v, math.atan2(vy, vx))
 
 
 def _draw_equilibria(canvas: _Canvas, report: ClassificationReport,

@@ -39,6 +39,7 @@ from lvcompete.dynamics import (
     EmpiricalVerdictKind,
     ProbeOutcome,
     TerminalStatus,
+    _PROBE_INTEGRATOR,
     _probe_radius,
     _wedge_starts,
 )
@@ -130,6 +131,61 @@ def test_off_quadrant_blowup_leaves_the_domain(gallery_params):
                      IntegratorOptions(escape_bound=100.0))
     assert traj.terminal_status is TerminalStatus.LEFT_DOMAIN
     assert max(abs(c) for c in traj.final_point) > 100.0
+
+
+#: Coexistence at (1.8, 0.4); (2, 0) and (0, 1) are saddles.
+EDGE_PARAMS = SystemParams.from_pairs((2, 1), ((1, Fraction(1, 2)), (Fraction(1, 3), 1)))
+#: The options of the portrait's trajectories (``portrait._draw_trajectories``).
+PORTRAIT_OPTIONS = IntegratorOptions(rel_tol=1e-7, abs_tol=1e-10, conv_tol=1e-7,
+                                     escape_bound=1e4)
+
+
+@pytest.mark.parametrize("start,status,accepted", [
+    pytest.param((math.nan, 1.0), TerminalStatus.STEP_FAILURE, 0, id="nan"),
+    pytest.param((math.inf, 1.0), TerminalStatus.LEFT_DOMAIN, 0, id="inf"),
+    pytest.param((-1e4, 0.0), TerminalStatus.LEFT_DOMAIN, 1, id="minus-bound"),
+    pytest.param((1e4, 0.0), TerminalStatus.CONVERGED, None, id="plus-bound"),
+    pytest.param((1.0, -0.0), TerminalStatus.CONVERGED, None, id="minus-zero"),
+])
+def test_edge_starts_keep_their_terminal_status(start, status, accepted):
+    """NaN, infinite, signed-zero and on-the-bound starts, frozen from the
+    loop that tested |x| with ``abs`` and ``max``.  A NaN start is not an
+    escape: its field is NaN, so every step is rejected until the step
+    floor.  A start exactly on the escape bound is inside the ball; one
+    step outward leaves it.  A zero coordinate, of either sign, stays zero
+    all the way to the axis equilibrium (2, 0)."""
+    traj = integrate(EDGE_PARAMS, start, 80.0, PORTRAIT_OPTIONS)
+    assert traj.terminal_status is status
+    if accepted is not None:
+        assert traj.n_accepted == accepted
+    if status is TerminalStatus.CONVERGED:
+        assert traj.samples[0] == (0.0, *start)
+        assert all(x2 == 0.0 for _, _, x2 in traj.samples)
+        assert abs(traj.final_point[0] - 2.0) < 1e-6
+
+
+def test_an_infinite_state_leaves_the_domain():
+    """A fixed step of 100 from far off the quadrant overflows both
+    coordinates in one accepted step."""
+    traj = integrate(EDGE_PARAMS, (-1e4, 1.0), 1e4,
+                     IntegratorOptions(fixed_step=100.0, escape_bound=1e4))
+    assert traj.terminal_status is TerminalStatus.LEFT_DOMAIN
+    assert traj.n_accepted == 1
+    assert traj.final_point == (-math.inf, math.inf)
+
+
+@pytest.mark.parametrize("start", [(0.0, 0.5), (0.0, 7.0), (0.5, 0.0), (9.0, 0.0),
+                                   (1.0, -0.0), (-0.0, 3.0), (2.0, 0.0)])
+def test_probe_options_keep_the_axes_exactly_invariant(start):
+    """With convergence detection off, as in every probe, a run on an axis
+    steps to the horizon and never moves its zero coordinate, even from an
+    exact rest point."""
+    traj = integrate(EDGE_PARAMS, start, 1e4, _PROBE_INTEGRATOR)
+    assert traj.terminal_status is TerminalStatus.REACHED_HORIZON
+    frozen_index = 1 if start[0] == 0.0 else 2
+    assert all(s[frozen_index] == 0.0 for s in traj.samples)
+    limit = (0.0, 1.0) if start[0] == 0.0 else (2.0, 0.0)
+    assert math.hypot(traj.final_point[0] - limit[0], traj.final_point[1] - limit[1]) < 1e-6
 
 
 def test_absurd_step_floor_fails_fast():

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -67,15 +66,11 @@ def vector_field(params: SystemParams, point: Sequence[float]) -> Point:
 
 class TerminalStatus(Enum):
     REACHED_HORIZON = "reached horizon"
-    CONVERGED = "converged to a point"
     LEFT_DOMAIN = "left the domain"
     STEP_FAILURE = "step size underflow"
     STOPPED = "stop condition met"
 
 
-#: Trailing time span over which a converging run must also have stopped
-#: moving (see ``IntegratorOptions.conv_tol``).
-_CONV_WINDOW = 1.0
 #: A run ends with STEP_FAILURE when the controller needs a step below this
 #: fraction of the horizon.
 _MIN_STEP_FACTOR = 1e-14
@@ -85,26 +80,23 @@ _MIN_STEP_FACTOR = 1e-14
 class IntegratorOptions:
     """Tuning knobs for :func:`integrate`.
 
-    ``conv_tol`` gates the convergence detector (velocity below the
-    tolerance *and* total displacement over the trailing 1.0 time units,
-    ``_CONV_WINDOW``, below it); set it to 0 to disable detection entirely.
     ``fixed_step`` (positive and finite) disables adaptivity and the switch
     to ROS3 — used by the order-measurement tests.  Otherwise the first
     step is guessed from the initial speed and steps are never clamped from
     above.
     ``stop_condition`` is checked on the initial point and after every
-    accepted step and ends the run with status STOPPED.
+    accepted step and ends the run with status STOPPED; it is the only
+    test of whether a run has come to rest.
     """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    conv_tol: float = 1e-9
     escape_bound: float = 1e6
     fixed_step: Optional[float] = None
     stop_condition: Optional[Callable[[float, Point], bool]] = None
-    #: Store every n-th accepted step (plus the first and last).  Long probe
-    #: runs on a slow manifold take millions of steps; keeping them all
-    #: would dominate memory without adding information.
+    #: Store every n-th accepted step (plus the first and last); n >= 1.
+    #: Long probe runs on a slow manifold take millions of steps; keeping
+    #: them all would dominate memory without adding information.
     sample_every: int = 1
 
 
@@ -184,11 +176,6 @@ def _spectral_radius(j11: float, j12: float, j21: float, j22: float) -> float:
     return abs(half_trace) + math.sqrt(disc)
 
 
-def _drift_within(window: deque, x1: float, x2: float, tol: float) -> bool:
-    """Whether every point of ``window`` is within ``tol`` of (x1, x2) in the sup norm."""
-    return all(-tol <= x1 - w1 <= tol and -tol <= x2 - w2 <= tol for _, w1, w2 in window)
-
-
 def integrate(
     params: SystemParams,
     initial: Sequence[float],
@@ -199,8 +186,8 @@ def integrate(
 
     Accepted steps keep the weighted RMS of the embedded error estimate
     below one, with scale ``abs_tol + rel_tol*max(|x|, |x_next|)`` per
-    component.  Runs end early on convergence, on leaving the escape ball,
-    on a caller-supplied stop condition, or with STEP_FAILURE if the
+    component.  A run ends at the horizon, or earlier on leaving the escape
+    ball, on the caller's stop condition, or with STEP_FAILURE if the
     controller would need a step below ``1e-14 * horizon``
     (``_MIN_STEP_FACTOR``).
 
@@ -223,27 +210,27 @@ def integrate(
     controller exponents and the switch count change with the stepper
     (``_RKF45_CONTROL``, ``_ROS3_CONTROL``); a switching step keeps its h.
     The loop calls no builtin to test a size: |x| is ``x if x >= 0.0 else
-    -x``, and the escape, velocity and drift tests are chained comparisons
-    such as ``-bound <= x1 <= bound``, which NaN fails, so a NaN or infinite
-    state leaves the domain and a NaN velocity never counts as settled.
+    -x``, and the escape test is a chained comparison,
+    ``-bound <= x1 <= bound``, which NaN fails, so a NaN or infinite state
+    leaves the domain.
     """
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     opts = opts or IntegratorOptions()
     if opts.fixed_step is not None and not 0 < opts.fixed_step < math.inf:
         raise ValueError(f"fixed_step must be positive and finite, got {opts.fixed_step}")
+    if not opts.sample_every >= 1:
+        raise ValueError(f"sample_every must be at least 1, got {opts.sample_every}")
     b1, b2, a11, a12, a21, a22 = params.as_float_tuple()
     rel_tol, abs_tol = opts.rel_tol, opts.abs_tol
-    conv_tol = opts.conv_tol
     escape_bound = opts.escape_bound
     stop_condition = opts.stop_condition
-    sample_every = max(1, opts.sample_every)
+    sample_every = opts.sample_every
     fixed = opts.fixed_step
 
     t = 0.0
     x1, x2 = float(initial[0]), float(initial[1])
     samples = [(t, x1, x2)]
-    window: deque = deque([(t, x1, x2)])
     n_accepted = n_rejected = 0
 
     # ``finish`` takes the final state as arguments: a closure over t, x1 and
@@ -260,12 +247,10 @@ def integrate(
     # A NaN start is no escape (NaN > bound is false); its steps fail instead.
     if max(abs(x1), abs(x2)) > escape_bound:
         return finish(TerminalStatus.LEFT_DOMAIN, t, x1, x2)
-    # Stage-1 slopes; reused across rejected retries and carried over from
-    # the convergence check of the previous accepted step.
+    # Stage-1 slopes; reused across rejected retries and computed at the
+    # end of each accepted step for the next one.
     k11 = x1 * (b1 - a11 * x1 - a12 * x2)
     k12 = x2 * (b2 - a21 * x1 - a22 * x2)
-    if conv_tol > 0 and -conv_tol <= k11 <= conv_tol and -conv_tol <= k12 <= conv_tol:
-        return finish(TerminalStatus.CONVERGED, t, x1, x2)
 
     min_step = _MIN_STEP_FACTOR * horizon
     if fixed is not None:
@@ -385,17 +370,9 @@ def integrate(
             # non-finite coordinates land here too
             return finish(TerminalStatus.LEFT_DOMAIN, t, x1, x2)
 
-        # Next step's stage-1 slopes, doubling as the convergence velocity.
+        # Next step's stage-1 slopes.
         k11 = x1 * (b1 - a11 * x1 - a12 * x2)
         k12 = x2 * (b2 - a21 * x1 - a22 * x2)
-        if conv_tol > 0:
-            window.append((t, x1, x2))
-            while len(window) >= 2 and window[1][0] <= t - _CONV_WINDOW:
-                window.popleft()
-            if (-conv_tol <= k11 <= conv_tol and -conv_tol <= k12 <= conv_tol
-                    and window[0][0] <= t - _CONV_WINDOW
-                    and _drift_within(window, x1, x2, conv_tol)):
-                return finish(TerminalStatus.CONVERGED, t, x1, x2)
 
         if fixed is None:
             check -= 1
@@ -578,9 +555,8 @@ _WEDGE_PROBE_COUNT = 4
 #: eigenvalue.
 _PROBE_HORIZON = 1e4
 #: Integrator settings of every probe run; :func:`empirical_stability` adds
-#: the stop condition, the convergence gate and the escape bound.
-_PROBE_INTEGRATOR = IntegratorOptions(rel_tol=1e-8, abs_tol=1e-11, conv_tol=0.0,
-                                      sample_every=64)
+#: the stop condition and the escape bound.
+_PROBE_INTEGRATOR = IntegratorOptions(rel_tol=1e-8, abs_tol=1e-11, sample_every=64)
 
 
 @dataclass(frozen=True)
@@ -598,12 +574,13 @@ class ProbeProtocol:
     target before the horizon of 1e4 (``_PROBE_HORIZON``), escapes if it
     leaves the ball of 10 ring radii (``_ESCAPE_FACTOR``) and stays out, and
     settles elsewhere if it stops moving (speed at most 1e-9,
-    ``_SETTLE_VELOCITY``) anywhere else.  "Stays out" is proven, not waited
-    for, when the start lies in the closed quadrant and the equilibria are
-    isolated: the run stops at the first point outside the ball whose exact
-    field lies in a cone of the competitive order, if the equilibrium the
-    order names as its limit is not the target.  For full-plane probing of
-    a degenerate axis equilibrium with d12 > 0, four extra probes
+    ``_SETTLE_VELOCITY``) anywhere else, which inside the ball only a line
+    member's probe can.  "Stays out" is proven, not waited for, when the
+    start lies in the closed quadrant and the equilibria are isolated: the
+    run stops at the first point outside the ball whose exact field lies in
+    a cone of the competitive order, if the equilibrium the order names as
+    its limit is not the target.  For full-plane probing of a degenerate
+    axis equilibrium with d12 > 0, four extra probes
     (``_WEDGE_PROBE_COUNT``) are planted inside the escaping wedge, which can
     be too thin for angular sampling to hit.  Every probe integrates with
     rtol 1e-8 and atol 1e-11 and stores every 64th step (``_PROBE_INTEGRATOR``).
@@ -790,18 +767,9 @@ def empirical_stability(
         for i, pt in enumerate(_wedge_starts(params, eq, radius)):
             starts.append((f"wedge-{i}", (float(pt[0]), float(pt[1])), True))
 
-    # Velocity-based convergence detection would misfire on a slow
-    # (center-manifold) approach: the speed drops below any tolerance while
-    # the probe is still far from the target.  Probes of such targets rely
-    # on the distance stop alone; everything else keeps the velocity
-    # detector so runs ending at some *other* attractor terminate early.
-    slow_target = (Sign.ZERO in eq.eigenvalues.realpart_signs
-                   and eq.kind is not EquilibriumKind.LINE_MEMBER)
-    opts = replace(
-        _PROBE_INTEGRATOR,
-        conv_tol=0.0 if slow_target else _SETTLE_VELOCITY,
-        escape_bound=max(1e3, 1e3 * max(1.0, math.hypot(*target))),
-    )
+    opts = replace(_PROBE_INTEGRATOR,
+                   escape_bound=max(1e3, 1e3 * max(1.0, math.hypot(*target))))
+    on_line = eq.kind is EquilibriumKind.LINE_MEMBER  # neighbors in the ball
     settle = protocol.settle_tol
     stop_dist = 0.99 * settle
     vel_floor = _SETTLE_VELOCITY
@@ -836,7 +804,9 @@ def empirical_stability(
                         low = math.inf
                     else:
                         max_dist = low = dist
-                return dist <= stop_dist and t > 0.0
+                if dist <= stop_dist:
+                    return t > 0.0
+                return on_line and max(map(abs, vector_field(params, x))) <= vel_floor
             if dist > max_dist:
                 max_dist = dist
             exited = True
@@ -854,8 +824,8 @@ def empirical_stability(
                     return True
                 certify = found is None
             # Else halt once the probe has settled elsewhere, against a
-            # scale-aware noise floor: a zero-eigenvalue target's probe (no
-            # velocity detector, long horizon) would grind on at a neighbor sink.
+            # scale-aware noise floor: a probe would grind on to its horizon
+            # at a neighbor sink.
             lim1 = max(vel_floor, noise * abs(x1) * (b1f + a11f * abs(x1) + a12f * abs(x2)))
             lim2 = max(vel_floor, noise * abs(x2) * (b2f + a21f * abs(x1) + a22f * abs(x2)))
             return abs(f1) <= lim1 and abs(f2) <= lim2

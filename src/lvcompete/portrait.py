@@ -14,10 +14,11 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .model import SystemParams
-from .equilibria import Equilibrium
+from .equilibria import Equilibrium, _order_limit, find_equilibria
 from .classifier import ClassificationReport, Scope, classify
 from .dynamics import IntegratorOptions, integrate, vector_field
 
@@ -177,11 +178,31 @@ def _draw_axes(canvas: _Canvas) -> None:
 
 
 def _draw_trajectories(canvas: _Canvas, params: SystemParams) -> None:
-    opts = IntegratorOptions(rel_tol=1e-7, abs_tol=1e-10, conv_tol=1e-7,
-                             escape_bound=1e4)
+    """Draw the seed grid's trajectories.  A run stops at the first point
+    within half a pixel per axis of a quadrant equilibrium L where
+    ``_order_limit`` names L: the flow is monotone, so the rest of the orbit
+    lies in the rectangle between that point, the last drawn, and L."""
     x_min, x_max, y_min, y_max = canvas.x_min, canvas.x_max, canvas.y_min, canvas.y_max
     pad = canvas.pad
     usable = _SIZE - 2 * pad
+    b1, b2, a11, a12, a21, a22 = params.as_float_tuple()
+    half_x = 0.5 * (x_max - x_min) / usable
+    half_y = 0.5 * (y_max - y_min) / usable
+    ends = [(eq, *eq.float_position) for eq in find_equilibria(params)
+            if isinstance(eq, Equilibrium)]
+
+    def certified_end(t: float, x: Tuple[float, float]) -> bool:
+        x1, x2 = x
+        for eq, e1, e2 in ends:
+            if -half_x <= x1 - e1 <= half_x and -half_y <= x2 - e2 <= half_y:
+                if x1 * (b1 - a11 * x1 - a12 * x2) * x2 * (b2 - a21 * x1 - a22 * x2) > 0.0:
+                    return False
+                limit = _order_limit(params, Fraction(x1), Fraction(x2))
+                return limit is not None and limit.position == eq.position
+        return False
+
+    opts = IntegratorOptions(rel_tol=1e-7, abs_tol=1e-10, escape_bound=1e4,
+                             stop_condition=certified_end)
     n = _SEEDS
     for i in range(n):
         for j in range(n):

@@ -113,11 +113,15 @@ def test_nullclines_json_exact_breakpoints(capsys):
     assert all(seg["direction"] == "stationary" for seg in oblique["segments"])
 
 
-def test_simulate_stationary_start_emits_one_row(capsys):
+def test_simulate_stationary_start_stays_at_the_rest_point(capsys):
+    """``simulate`` integrates to its horizon, 100 by default; from a rest
+    point every row repeats it."""
     code, out, err = run(capsys, "simulate", *CASE1, "--start", "2,1")
     assert code == 0
-    assert out == "t,x1,x2\n0,2,1\n"
-    assert "converged" in err
+    lines = out.strip().split("\n")
+    assert lines[0] == "t,x1,x2" and lines[1] == "0,2,1" and lines[-1] == "100,2,1"
+    assert all(line.endswith(",2,1") for line in lines[1:])
+    assert "status: reached horizon at t = 100 " in err
 
 
 def test_simulate_trajectory_runs_to_the_sink(capsys):
@@ -127,8 +131,9 @@ def test_simulate_trajectory_runs_to_the_sink(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "t,x1,x2"
     final = [float(v) for v in lines[-1].split(",")]
+    assert final[0] == 100.0
     assert abs(final[1] - 2.0) < 1e-6 and abs(final[2] - 1.0) < 1e-6
-    assert "status: converged" in err
+    assert "status: reached horizon" in err
 
 
 def test_simulate_validates_horizon(capsys):

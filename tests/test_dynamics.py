@@ -93,15 +93,19 @@ def test_vector_field_matches_exact_rhs(params, x1, x2):
 # integrate: terminal statuses
 
 
-def test_stationary_start_is_a_single_converged_sample(gallery_params):
+def test_stationary_start_stays_put_to_the_horizon(gallery_params):
+    """At a rest point every stage is exactly zero: each step is accepted
+    with zero error, grows fivefold, and never moves the state."""
     traj = integrate(gallery_params["case1"], (2.0, 1.0), 50.0)
-    assert traj.terminal_status is TerminalStatus.CONVERGED
-    assert traj.samples == [(0.0, 2.0, 1.0)]
+    assert traj.terminal_status is TerminalStatus.REACHED_HORIZON
+    assert traj.final_time == 50.0
+    assert traj.n_accepted <= 5
+    assert all((x1, x2) == (2.0, 1.0) for _, x1, x2 in traj.samples)
 
 
 def test_case1_interior_attracts_generic_start(gallery_params):
     traj = integrate(gallery_params["case1"], (1.0, 1.0), 100.0)
-    assert traj.terminal_status is TerminalStatus.CONVERGED
+    assert traj.terminal_status is TerminalStatus.REACHED_HORIZON
     x1, x2 = traj.final_point
     assert math.hypot(x1 - 2.0, x2 - 1.0) < 1e-6
 
@@ -110,7 +114,7 @@ def test_degenerate_case_lands_on_the_line_where_conservation_says(gallery_param
     """With proportional rows, x2/x1^2 is a first integral; the landing point
     on the equilibrium line is therefore known in closed form."""
     traj = integrate(gallery_params["case9"], (0.2, 0.2), 200.0)
-    assert traj.terminal_status is TerminalStatus.CONVERGED
+    assert traj.terminal_status is TerminalStatus.REACHED_HORIZON
     x1, x2 = traj.final_point
     # x2 = 5*x1^2 intersected with 1 - x1 - 2*x2 = 0
     x1_star = (-1.0 + math.sqrt(41.0)) / 20.0
@@ -120,8 +124,7 @@ def test_degenerate_case_lands_on_the_line_where_conservation_says(gallery_param
 
 
 def test_horizon_is_hit_exactly_when_nothing_else_stops_the_run(gallery_params):
-    traj = integrate(gallery_params["case1"], (1.0, 1.0), 7.5,
-                     IntegratorOptions(conv_tol=0.0))
+    traj = integrate(gallery_params["case1"], (1.0, 1.0), 7.5)
     assert traj.terminal_status is TerminalStatus.REACHED_HORIZON
     assert traj.final_time == 7.5
 
@@ -135,17 +138,17 @@ def test_off_quadrant_blowup_leaves_the_domain(gallery_params):
 
 #: Coexistence at (1.8, 0.4); (2, 0) and (0, 1) are saddles.
 EDGE_PARAMS = SystemParams.from_pairs((2, 1), ((1, Fraction(1, 2)), (Fraction(1, 3), 1)))
-#: The options of the portrait's trajectories (``portrait._draw_trajectories``).
-PORTRAIT_OPTIONS = IntegratorOptions(rel_tol=1e-7, abs_tol=1e-10, conv_tol=1e-7,
-                                     escape_bound=1e4)
+#: The options of the portrait's trajectories (``portrait._draw_trajectories``),
+#: without its stop condition.
+PORTRAIT_OPTIONS = IntegratorOptions(rel_tol=1e-7, abs_tol=1e-10, escape_bound=1e4)
 
 
 @pytest.mark.parametrize("start,status,accepted", [
     pytest.param((math.nan, 1.0), TerminalStatus.STEP_FAILURE, 0, id="nan"),
     pytest.param((math.inf, 1.0), TerminalStatus.LEFT_DOMAIN, 0, id="inf"),
     pytest.param((-1e4, 0.0), TerminalStatus.LEFT_DOMAIN, 1, id="minus-bound"),
-    pytest.param((1e4, 0.0), TerminalStatus.CONVERGED, None, id="plus-bound"),
-    pytest.param((1.0, -0.0), TerminalStatus.CONVERGED, None, id="minus-zero"),
+    pytest.param((1e4, 0.0), TerminalStatus.REACHED_HORIZON, None, id="plus-bound"),
+    pytest.param((1.0, -0.0), TerminalStatus.REACHED_HORIZON, None, id="minus-zero"),
 ])
 def test_edge_starts_keep_their_terminal_status(start, status, accepted):
     """NaN, infinite, signed-zero and on-the-bound starts, frozen from the
@@ -158,7 +161,8 @@ def test_edge_starts_keep_their_terminal_status(start, status, accepted):
     assert traj.terminal_status is status
     if accepted is not None:
         assert traj.n_accepted == accepted
-    if status is TerminalStatus.CONVERGED:
+    if status is TerminalStatus.REACHED_HORIZON:
+        assert traj.final_time == 80.0
         assert traj.samples[0] == (0.0, *start)
         assert all(x2 == 0.0 for _, _, x2 in traj.samples)
         assert abs(traj.final_point[0] - 2.0) < 1e-6
@@ -177,9 +181,8 @@ def test_an_infinite_state_leaves_the_domain():
 @pytest.mark.parametrize("start", [(0.0, 0.5), (0.0, 7.0), (0.5, 0.0), (9.0, 0.0),
                                    (1.0, -0.0), (-0.0, 3.0), (2.0, 0.0)])
 def test_probe_options_keep_the_axes_exactly_invariant(start):
-    """With convergence detection off, as in every probe, a run on an axis
-    steps to the horizon and never moves its zero coordinate, even from an
-    exact rest point."""
+    """A run on an axis steps to the horizon and never moves its zero
+    coordinate, even from an exact rest point."""
     traj = integrate(EDGE_PARAMS, start, 1e4, _PROBE_INTEGRATOR)
     assert traj.terminal_status is TerminalStatus.REACHED_HORIZON
     frozen_index = 1 if start[0] == 0.0 else 2
@@ -192,7 +195,7 @@ def test_absurd_step_floor_fails_fast():
     """At b1 = 1e12 the stable RKF45 step, about 3.7e-12, lies below the
     minimum step, 1e-14 of the 1e4 horizon."""
     p = SystemParams.from_pairs((10 ** 12, 1), ((1, 1), (1, 1)))
-    traj = integrate(p, (1.0, 1.0), 1e4, IntegratorOptions(conv_tol=0.0))
+    traj = integrate(p, (1.0, 1.0), 1e4)
     assert traj.terminal_status is TerminalStatus.STEP_FAILURE
     assert traj.n_accepted == 0
 
@@ -211,6 +214,14 @@ def test_nonpositive_or_infinite_fixed_step_rejected(gallery_params, step):
         integrate(gallery_params["case1"], (1.0, 1.0), 2.0, IntegratorOptions(fixed_step=step))
 
 
+@pytest.mark.parametrize("every", [0, -1, 0.5, math.nan])
+def test_sample_every_below_one_rejected(gallery_params, every):
+    """Like a bad fixed step, a sampling stride below one is an error, not
+    a value to clamp."""
+    with pytest.raises(ValueError, match="sample_every must be at least 1"):
+        integrate(gallery_params["case1"], (1.0, 1.0), 2.0, IntegratorOptions(sample_every=every))
+
+
 def test_stop_condition_checked_before_stepping(gallery_params):
     traj = integrate(gallery_params["case1"], (1.0, 1.0), 10.0,
                      IntegratorOptions(stop_condition=lambda t, x: True))
@@ -223,29 +234,25 @@ def test_stop_condition_checked_before_stepping(gallery_params):
 # integrate: invariance
 
 
-@pytest.mark.parametrize("label,start,expected_limit,conv_tol", [
-    pytest.param("case1", (0.0, 3.7), (0.0, 2.0), 1e-9, id="start0-expected_limit0"),
-    pytest.param("case1", (0.0, 0.4), (0.0, 2.0), 1e-9, id="start1-expected_limit1"),
-    pytest.param("case1", (2.6, 0.0), (3.0, 0.0), 1e-9, id="start2-expected_limit2"),
-    # Stiff: with convergence detection off, the run sits at case2's axis-2
-    # equilibrium, where the eigenvalue -4 pins RKF45 at its stability limit
-    # until ROS3 takes over.
-    pytest.param("case2", (0.0, 2.001), (0.0, 2.0), 0.0, id="stiff-case2-axis2"),
+@pytest.mark.parametrize("label,start,expected_limit", [
+    pytest.param("case1", (0.0, 3.7), (0.0, 2.0), id="start0-expected_limit0"),
+    pytest.param("case1", (0.0, 0.4), (0.0, 2.0), id="start1-expected_limit1"),
+    pytest.param("case1", (2.6, 0.0), (3.0, 0.0), id="start2-expected_limit2"),
+    # Stiff: the run sits at case2's axis-2 equilibrium, where the
+    # eigenvalue -4 pins RKF45 at its stability limit until ROS3 takes over.
+    pytest.param("case2", (0.0, 2.001), (0.0, 2.0), id="stiff-case2-axis2"),
 ])
-def test_axes_are_exactly_invariant(gallery_params, label, start, expected_limit, conv_tol):
+def test_axes_are_exactly_invariant(gallery_params, label, start, expected_limit):
     """A coordinate that starts at 0.0 must stay at 0.0 bitwise: the factored
     right-hand side guarantees it for RKF45, the triangular Jacobian on the
     axis for ROS3, and the single-species limit confirms the run still goes
     somewhere sensible."""
-    traj = integrate(gallery_params[label], start, 1e4, IntegratorOptions(conv_tol=conv_tol))
+    traj = integrate(gallery_params[label], start, 1e4)
     frozen_index = 0 if start[0] == 0.0 else 1
     assert all(s[1 + frozen_index] == 0.0 for s in traj.samples)
-    if conv_tol:
-        assert traj.terminal_status is TerminalStatus.CONVERGED
-    else:
-        assert traj.terminal_status is TerminalStatus.REACHED_HORIZON
-        # RKF45 alone needs 1e4 * 4 / 3.68 > 10,000 steps to get here.
-        assert traj.n_accepted < 1000
+    assert traj.terminal_status is TerminalStatus.REACHED_HORIZON
+    # RKF45 alone needs 1e4 * 4 / 3.68 > 10,000 steps at case2's axis-2 sink.
+    assert traj.n_accepted < 1000
     assert math.hypot(traj.final_point[0] - expected_limit[0],
                       traj.final_point[1] - expected_limit[1]) < 1e-6
 
@@ -270,8 +277,8 @@ def test_open_quadrant_is_forward_invariant(params, x1, x2):
 # ---------------------------------------------------------------------------
 # integrate: stiff runs
 
-#: The integrator settings of a probe run, with the velocity detector on.
-PROBE_OPTIONS = IntegratorOptions(rel_tol=1e-8, abs_tol=1e-11, conv_tol=1e-9)
+#: The tolerances of a probe run.
+PROBE_OPTIONS = IntegratorOptions(rel_tol=1e-8, abs_tol=1e-11)
 
 
 @pytest.mark.parametrize("b,a,start,horizon", [
@@ -282,12 +289,11 @@ PROBE_OPTIONS = IntegratorOptions(rel_tol=1e-8, abs_tol=1e-11, conv_tol=1e-9)
                  (0.62, 0.001), 1e4, id="interior-sink"),
 ])
 def test_runs_that_reach_a_stiff_sink_converge(b, a, start, horizon):
-    """At RKF45's stability limit the step jitter keeps the speed above the
-    detector's 1e-9, so these runs used to reach the horizon (3,280 and
-    32,461 steps); ROS3 lets them settle and stop."""
+    """At RKF45's stability limit these runs took 3,280 and 32,461 steps to
+    the horizon; ROS3 takes 264 and 457, and ends on the sink."""
     params = SystemParams.from_pairs(b, a)
     traj = integrate(params, start, horizon, PROBE_OPTIONS)
-    assert traj.terminal_status is TerminalStatus.CONVERGED
+    assert traj.terminal_status is TerminalStatus.REACHED_HORIZON
     assert traj.n_accepted < 1000
     assert max(abs(v) for v in vector_field(params, traj.final_point)) <= 1e-9
 
@@ -323,9 +329,8 @@ def test_stiff_probe_run_matches_a_radau_reference(gallery_params, label):
         jac=lambda t, x: [[b1 - 2 * a11 * x[0] - a12 * x[1], -a12 * x[0]],
                           [-a21 * x[1], b2 - a21 * x[0] - 2 * a22 * x[1]]])
     assert ref.success
-    options = replace(PROBE_OPTIONS, conv_tol=0.0)
     for i, horizon in enumerate(times):
-        traj = integrate(p, start, horizon, options)
+        traj = integrate(p, start, horizon, PROBE_OPTIONS)
         assert traj.terminal_status is TerminalStatus.REACHED_HORIZON
         assert traj.final_point == pytest.approx(tuple(ref.y[:, i]), rel=1e-7, abs=1e-10), horizon
 
@@ -373,8 +378,7 @@ def test_centre_manifold_approach_stays_on_the_stiff_stepper(gallery_params, lab
 
 
 def test_fixed_step_takes_the_prescribed_grid(gallery_params):
-    traj = integrate(gallery_params["case1"], (1.0, 1.0), 2.0,
-                     IntegratorOptions(fixed_step=0.02, conv_tol=0.0))
+    traj = integrate(gallery_params["case1"], (1.0, 1.0), 2.0, IntegratorOptions(fixed_step=0.02))
     assert traj.terminal_status is TerminalStatus.REACHED_HORIZON
     assert traj.n_accepted == 100
     assert traj.n_rejected == 0
@@ -388,12 +392,10 @@ def test_observed_convergence_rate_is_fifth_order(gallery_params):
     sits far above the roundoff floor of the reference run.
     """
     p = gallery_params["case1"]
-    ref = integrate(p, (1.0, 1.0), 2.0,
-                    IntegratorOptions(rel_tol=1e-13, abs_tol=1e-15, conv_tol=0.0))
+    ref = integrate(p, (1.0, 1.0), 2.0, IntegratorOptions(rel_tol=1e-13, abs_tol=1e-15))
     errors = []
     for h in (0.16, 0.08, 0.04, 0.02):
-        traj = integrate(p, (1.0, 1.0), 2.0,
-                         IntegratorOptions(fixed_step=h, conv_tol=0.0))
+        traj = integrate(p, (1.0, 1.0), 2.0, IntegratorOptions(fixed_step=h))
         errors.append(math.hypot(traj.final_point[0] - ref.final_point[0],
                                  traj.final_point[1] - ref.final_point[1]))
     rates = [math.log2(errors[i] / errors[i + 1]) for i in range(3)]
@@ -402,12 +404,10 @@ def test_observed_convergence_rate_is_fifth_order(gallery_params):
 
 def test_tighter_tolerance_gives_tighter_answer(gallery_params):
     p = gallery_params["case1"]
-    ref = integrate(p, (1.0, 1.0), 5.0,
-                    IntegratorOptions(rel_tol=1e-13, abs_tol=1e-15, conv_tol=0.0))
+    ref = integrate(p, (1.0, 1.0), 5.0, IntegratorOptions(rel_tol=1e-13, abs_tol=1e-15))
 
     def endpoint_error(rel, abso):
-        traj = integrate(p, (1.0, 1.0), 5.0,
-                         IntegratorOptions(rel_tol=rel, abs_tol=abso, conv_tol=0.0))
+        traj = integrate(p, (1.0, 1.0), 5.0, IntegratorOptions(rel_tol=rel, abs_tol=abso))
         return math.hypot(traj.final_point[0] - ref.final_point[0],
                           traj.final_point[1] - ref.final_point[1])
 
@@ -416,9 +416,8 @@ def test_tighter_tolerance_gives_tighter_answer(gallery_params):
 
 def test_sample_thinning_does_not_change_the_dynamics(gallery_params):
     p = gallery_params["case1"]
-    dense = integrate(p, (1.0, 1.0), 20.0, IntegratorOptions(conv_tol=0.0))
-    thin = integrate(p, (1.0, 1.0), 20.0,
-                     IntegratorOptions(conv_tol=0.0, sample_every=8))
+    dense = integrate(p, (1.0, 1.0), 20.0)
+    thin = integrate(p, (1.0, 1.0), 20.0, IntegratorOptions(sample_every=8))
     assert thin.final_point == dense.final_point  # same step sequence, bitwise
     assert thin.n_accepted == dense.n_accepted
     assert len(thin.samples) < len(dense.samples)
@@ -426,8 +425,7 @@ def test_sample_thinning_does_not_change_the_dynamics(gallery_params):
 
 
 def test_csv_round_trips_through_repr_precision(gallery_params):
-    traj = integrate(gallery_params["case1"], (1.0, 1.0), 3.0,
-                     IntegratorOptions(conv_tol=0.0))
+    traj = integrate(gallery_params["case1"], (1.0, 1.0), 3.0)
     text = traj.to_csv()
     lines = text.strip().split("\n")
     assert lines[0] == "t,x1,x2"
@@ -849,6 +847,10 @@ def test_line_member_probes_settle_on_neighbors(gallery_params):
     assert not emp.has_escape
     settled = [r for r in emp.probes if r.outcome is ProbeOutcome.SETTLED_ELSEWHERE]
     assert settled, "expected probes parked at nearby line points"
+    for r in settled:
+        # The probe's own settle test stops it inside the escape ball.
+        assert r.status is TerminalStatus.STOPPED and r.final_distance <= 10.0 * emp.radius
+        assert max(map(abs, vector_field(p, r.final_point))) <= 1e-9
     assert empirical_matches(report.verdict_at(EquilibriumKind.LINE_MEMBER), emp)
 
 

@@ -298,8 +298,8 @@ def test_exact_layer_calls_float_only_in_print_and_hand_off_helpers():
 #: that take numerical or sampling settings.  A new knob or exported name
 #: shows up as an edit here.
 OPTION_FIELDS = {
-    "IntegratorOptions": ("rel_tol", "abs_tol", "conv_tol", "escape_bound",
-                          "fixed_step", "stop_condition", "sample_every"),
+    "IntegratorOptions": ("rel_tol", "abs_tol", "escape_bound", "fixed_step",
+                          "stop_condition", "sample_every"),
     "ProbeProtocol": ("probe_count", "scope", "settle_tol"),
     "PortraitSpec": ("scope",),
 }

@@ -6,8 +6,9 @@ Run it from any directory; it imports lvcompete from ``src/`` and the
 workload from ``lvbench/workloads.py`` of the same checkout.  Two groups of
 probes are counted: those of the first 240 systems of the seed-5
 ``verify_hyperbolic`` stream, run through the workload's own ``work`` with
-the portrait left out, and the gallery's quadrant probes (16 per isolated
-quadrant equilibrium).  Each probe is one ``integrate`` run, timed around
+the portrait left out, and the gallery's quadrant probes, 16 for each
+target of ``verify``: every isolated quadrant equilibrium, and both ends
+and the midpoint of case9's line of equilibria.  Each probe is one ``integrate`` run, timed around
 the call; the table sums the probes, their accepted steps and their seconds
 for each group, target kind and outcome.
 """
@@ -28,6 +29,7 @@ def main() -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "lvbench")]
     import lvcompete as lv
     import workloads
+    from lvcompete.cli import _verification_targets
 
     clock = time.perf_counter
     runs = []  # (seconds, accepted steps) of each integrate call of one ring
@@ -63,19 +65,18 @@ def main() -> int:
     ring = lv.ProbeProtocol(probe_count=GALLERY_PROBES)
     for label in lv.gallery_labels():
         params = lv.gallery_entry(label).params
-        for eq in lv.find_equilibria(params):
-            if isinstance(eq, lv.Equilibrium):
-                probe(params, eq, ring)
+        for eq in _verification_targets(params):
+            probe(params, eq, ring)
 
-    print(f"{'group':<18} {'target':<9} {'outcome':<20} {'probes':>7} {'steps':>9} "
+    print(f"{'group':<18} {'target':<11} {'outcome':<20} {'probes':>7} {'steps':>9} "
           f"{'steps/probe':>11} {'seconds':>8}")
     for name in ("verify_hyperbolic", "gallery"):
         rows = sorted((key, row) for key, row in totals.items() if key[0] == name)
         for (_, kind, outcome), (probes, steps, seconds) in rows:
-            print(f"{name:<18} {kind:<9} {outcome:<20} {probes:>7} {steps:>9} "
+            print(f"{name:<18} {kind:<11} {outcome:<20} {probes:>7} {steps:>9} "
                   f"{steps / probes:>11.1f} {seconds:>8.3f}")
         probes, steps, seconds = (sum(row[i] for _, row in rows) for i in range(3))
-        print(f"{name:<18} {'all':<9} {'all':<20} {probes:>7} {steps:>9} "
+        print(f"{name:<18} {'all':<11} {'all':<20} {probes:>7} {steps:>9} "
               f"{steps / probes:>11.1f} {seconds:>8.3f}")
     return 0
 
